@@ -13,8 +13,8 @@
 //   - exporter_overhead: the ScoreTails sweep with the live metrics
 //                        exporter off vs running at 100 ms;
 //   - topk:              the TopKEngine fast path vs the full-sweep oracle
-//                        at 100k entities (K ladder, prune on/off, honest
-//                        unit-norm and dot-product rows).
+//                        at 100k entities (a unit-norm TransE row and a
+//                        dot-product DistMult row).
 //
 // Flags: the telemetry flags (--report/--trace/--log-level) and --topk
 // (run only the topk post-suite section) accept both --flag=value and
@@ -32,6 +32,7 @@
 #include <fstream>
 #include <limits>
 #include <thread>
+#include <utility>
 
 #include "bench/bench_common.h"
 #include "datagen/presets.h"
@@ -527,73 +528,36 @@ void RunExporterOverhead(std::ostream& out) {
 // --- Top-K retrieval -------------------------------------------------------
 
 /// Times the TopKEngine fast path against the per-query full-sweep oracle
-/// at 100k entities and writes the topk JSON section. Three workloads:
-///   - clustered_l2: near-duplicate clusters with a log-normal norm spread
-///     (bench::ClusteredL2Model, the paper's redundancy regime) — the K
-///     ladder, plus a prune-off row isolating blocking + heap selection;
+/// at 100k entities and writes the topk JSON section. Two workloads:
 ///   - transe_unit_norm: a fresh TransE table, whose entities the model
-///     projects to the unit sphere — every norm is 1, the norm bound can
-///     prune nothing, and the row shows the honest blocking-only speedup
-///     for trained translational models;
-///   - distmult_dot: a dot-product sweep, never pruned by construction.
-/// Each workload's K=10 row first runs an oracle cross-check (aborts on a
-/// bit-level mismatch). The acceptance target is >= 5x at K=10 on
-/// clustered_l2; a miss is reported but not fatal here — the hard gate
-/// lives in bench_scale --smoke.
+///     projects to the unit sphere — an L2 distance sweep;
+///   - distmult_dot: a dot-product sweep.
+/// Each row first runs an oracle cross-check (aborts on a bit-level
+/// mismatch).
 int RunTopKRetrieval(std::ostream& out) {
   constexpr int32_t kEntities = 100000;
   constexpr size_t kDim = 64;
   constexpr int32_t kRelations = 8;
   constexpr size_t kQueries = 128;
   constexpr int kReps = 3;
-  constexpr double kTargetSpeedup = 5.0;
 
   const std::vector<TopKQuery> queries =
       bench::MakeTopKBenchQueries(kEntities, kRelations, kQueries, 17);
   std::vector<bench::TopKBenchPoint> points;
-  {
-    const bench::ClusteredL2Model clustered(kEntities, kDim, kRelations, 23);
-    for (int k : {1, 10, 100}) {
-      points.push_back(bench::MeasureTopKRetrieval(
-          clustered, "clustered_l2", queries, k, /*prune=*/true,
-          /*cross_check=*/k == 10, kReps));
-    }
-    points.push_back(bench::MeasureTopKRetrieval(
-        clustered, "clustered_l2", queries, 10, /*prune=*/false,
-        /*cross_check=*/false, kReps));
-  }
-  {
-    ModelHyperParams params = DefaultHyperParams(ModelType::kTransE);
+  for (const auto& [type, label] :
+       {std::pair{ModelType::kTransE, "transe_unit_norm"},
+        std::pair{ModelType::kDistMult, "distmult_dot"}}) {
+    ModelHyperParams params = DefaultHyperParams(type);
     params.dim = kDim;
-    const auto transe =
-        CreateModel(ModelType::kTransE, kEntities, kRelations, params);
+    const auto model = CreateModel(type, kEntities, kRelations, params);
     points.push_back(bench::MeasureTopKRetrieval(
-        *transe, "transe_unit_norm", queries, 10, /*prune=*/true,
-        /*cross_check=*/true, kReps));
-  }
-  {
-    ModelHyperParams params = DefaultHyperParams(ModelType::kDistMult);
-    params.dim = kDim;
-    const auto distmult =
-        CreateModel(ModelType::kDistMult, kEntities, kRelations, params);
-    points.push_back(bench::MeasureTopKRetrieval(
-        *distmult, "distmult_dot", queries, 10, /*prune=*/true,
-        /*cross_check=*/true, kReps));
-  }
-
-  double headline = 0.0;
-  for (const bench::TopKBenchPoint& p : points) {
-    if (p.label == "clustered_l2" && p.k == 10 && p.prune) {
-      headline = p.speedup;
-    }
+        *model, label, queries, 10, /*cross_check=*/true, kReps));
   }
 
   out << "  \"topk\": {\n"
       << "    \"num_entities\": " << kEntities << ",\n"
       << "    \"dim\": " << kDim << ",\n"
       << "    \"num_queries\": " << kQueries << ",\n"
-      << "    \"target_speedup_clustered_k10\": " << kTargetSpeedup << ",\n"
-      << "    \"headline_speedup_clustered_k10\": " << headline << ",\n"
       << "    \"results\": [\n";
   std::printf("\ntop-K retrieval (engine threads=1 vs full-sweep oracle, "
               "%d entities, dim %zu, %zu queries)\n",
@@ -601,7 +565,6 @@ int RunTopKRetrieval(std::ostream& out) {
   for (size_t i = 0; i < points.size(); ++i) {
     const bench::TopKBenchPoint& p = points[i];
     out << "      {\"workload\": \"" << p.label << "\", \"k\": " << p.k
-        << ", \"prune\": " << (p.prune ? "true" : "false")
         << ", \"cross_checked\": " << (p.cross_checked ? "true" : "false")
         << ", \"oracle_seconds\": " << p.oracle_seconds
         << ", \"engine_seconds\": " << p.engine_seconds
@@ -612,19 +575,13 @@ int RunTopKRetrieval(std::ostream& out) {
         << ", \"heap_pushes\": " << p.heap_pushes
         << ", \"queries_batched\": " << p.queries_batched << "}"
         << (i + 1 < points.size() ? "," : "") << "\n";
-    std::printf("  %-16s K=%-3d prune=%-3s  oracle %.3fs  engine %.3fs  "
-                "%6.2fx  scored %5.1f%%  tiles_pruned %llu%s\n",
-                p.label.c_str(), p.k, p.prune ? "on" : "off",
-                p.oracle_seconds, p.engine_seconds, p.speedup,
-                p.scored_fraction * 100.0,
-                static_cast<unsigned long long>(p.tiles_pruned),
+    std::printf("  %-16s K=%-3d  oracle %.3fs  engine %.3fs  %6.2fx  "
+                "scored %5.1f%%%s\n",
+                p.label.c_str(), p.k, p.oracle_seconds, p.engine_seconds,
+                p.speedup, p.scored_fraction * 100.0,
                 p.cross_checked ? "  [cross-checked]" : "");
   }
   out << "    ]\n  }";
-  std::printf("  headline: clustered_l2 K=10 prune=on %.2fx  (target >= "
-              "%.1fx: %s)\n",
-              headline, kTargetSpeedup,
-              headline >= kTargetSpeedup ? "MET" : "MISSED");
   return 0;
 }
 

@@ -9,16 +9,10 @@
 //
 // Results go to stdout and to BENCH_scale.json in the working directory.
 //
-// A second study runs the top-K retrieval fast path (eval/topk) against
-// the full-sweep oracle on the 100k-entity clustered workload: the K
-// ladder in full mode, K=10 only in smoke mode, always with the oracle
-// cross-check on (the engine aborts on any bit-level mismatch).
-//
 // Flags (besides the BenchTelemetry ones):
 //   --smoke   run only the 100k-entity size and enforce the CI budget:
 //             bytes-per-triple <= 64, batched probes no slower than the
-//             unordered_set baseline, and top-K engine speedup >= 3x at
-//             K=10 with the cross-check on. Exit 1 on breach.
+//             unordered_set baseline. Exit 1 on breach.
 //
 // The full run also checks the ISSUE acceptance floor at 1M entities
 // (<64 bytes/triple, >=3x batched-probe speedup) and reports pass/fail per
@@ -177,41 +171,7 @@ SizeResult RunSize(int64_t requested) {
   return result;
 }
 
-// Top-K retrieval ladder on the clustered 100k workload, oracle
-// cross-check always on. Smoke mode (CI, often sanitized) runs a reduced
-// query set at K=10 only; the ≥3x gate lives in main.
-std::vector<bench::TopKBenchPoint> RunTopKLadder(bool smoke) {
-  constexpr int32_t kEntities = 100'000;
-  constexpr size_t kDim = 64;
-  constexpr int32_t kRelations = 8;
-  const size_t num_queries = smoke ? 48 : 128;
-  const int reps = smoke ? 1 : 3;
-  const std::vector<int> ks = smoke ? std::vector<int>{10}
-                                    : std::vector<int>{1, 10, 100};
-
-  std::printf("\ntop-K retrieval (clustered_l2, %d entities, dim %zu, "
-              "%zu queries, cross-check on)\n",
-              kEntities, kDim, num_queries);
-  const bench::ClusteredL2Model model(kEntities, kDim, kRelations, 23);
-  const std::vector<TopKQuery> queries =
-      bench::MakeTopKBenchQueries(kEntities, kRelations, num_queries, 17);
-  std::vector<bench::TopKBenchPoint> points;
-  for (int k : ks) {
-    points.push_back(bench::MeasureTopKRetrieval(model, "clustered_l2",
-                                                 queries, k, /*prune=*/true,
-                                                 /*cross_check=*/true, reps));
-    const bench::TopKBenchPoint& p = points.back();
-    std::printf("  K=%-3d oracle %.3fs  engine %.3fs  %6.2fx  "
-                "scored %5.1f%%  tiles_pruned %llu\n",
-                p.k, p.oracle_seconds, p.engine_seconds, p.speedup,
-                p.scored_fraction * 100.0,
-                static_cast<unsigned long long>(p.tiles_pruned));
-  }
-  return points;
-}
-
 void WriteJson(const std::vector<SizeResult>& results,
-               const std::vector<bench::TopKBenchPoint>& topk,
                const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"bench_scale\",\n  \"sizes\": [\n";
@@ -237,25 +197,6 @@ void WriteJson(const std::vector<SizeResult>& results,
         i + 1 < results.size() ? "," : "");
     out << line;
   }
-  out << "  ],\n  \"topk\": [\n";
-  for (size_t i = 0; i < topk.size(); ++i) {
-    const bench::TopKBenchPoint& p = topk[i];
-    char line[512];
-    std::snprintf(
-        line, sizeof(line),
-        "    {\"workload\": \"%s\", \"num_entities\": %lld, "
-        "\"num_queries\": %zu, \"k\": %d, \"cross_checked\": %s, "
-        "\"oracle_seconds\": %.4f, \"engine_seconds\": %.4f, "
-        "\"speedup\": %.3f, \"tiles_pruned\": %llu, "
-        "\"entities_scored\": %llu, \"scored_fraction\": %.4f}%s\n",
-        p.label.c_str(), static_cast<long long>(p.num_entities),
-        p.num_queries, p.k, p.cross_checked ? "true" : "false",
-        p.oracle_seconds, p.engine_seconds, p.speedup,
-        static_cast<unsigned long long>(p.tiles_pruned),
-        static_cast<unsigned long long>(p.entities_scored),
-        p.scored_fraction, i + 1 < topk.size() ? "," : "");
-    out << line;
-  }
   out << "  ]\n}\n";
 }
 
@@ -275,12 +216,10 @@ int main(int argc, char** argv) {
   for (int64_t size : sizes) {
     results.push_back(kgc::RunSize(size));
   }
-  const std::vector<kgc::bench::TopKBenchPoint> topk =
-      kgc::RunTopKLadder(smoke);
   if (!smoke) {
     // Smoke mode is a CI gate (often under a sanitizer); only the full
     // ladder overwrites the benchmark artifact.
-    kgc::WriteJson(results, topk, "BENCH_scale.json");
+    kgc::WriteJson(results, "BENCH_scale.json");
     std::printf("wrote BENCH_scale.json\n");
   }
 
@@ -302,24 +241,6 @@ int main(int argc, char** argv) {
                    "unordered_set baseline (%.2fx)\n",
                    r.batch_speedup);
       exit_code = 1;
-    }
-    // Top-K budget: the fast path must beat the full-sweep oracle by >=3x
-    // at K=10 on the clustered 100k workload, with the cross-check on.
-    for (const kgc::bench::TopKBenchPoint& p : topk) {
-      if (p.k != 10) continue;
-      if (!p.cross_checked) {
-        std::fprintf(stderr,
-                     "SMOKE FAIL: top-K ladder ran without the oracle "
-                     "cross-check\n");
-        exit_code = 1;
-      }
-      if (p.speedup < 3.0) {
-        std::fprintf(stderr,
-                     "SMOKE FAIL: top-K speedup %.2fx below the 3x budget "
-                     "at K=10\n",
-                     p.speedup);
-        exit_code = 1;
-      }
     }
   } else {
     for (const kgc::SizeResult& r : results) {

@@ -1,29 +1,39 @@
 #!/usr/bin/env bash
-# Builds the tier-1 test suite under a sanitizer configuration and runs it.
+# Builds the tier-1 test suite under a sanitizer (or Release) configuration
+# and runs it.
 #
 # Usage:
 #   ci/sanitize.sh              # address + undefined (default)
 #   ci/sanitize.sh address      # ASan only
 #   ci/sanitize.sh undefined    # UBSan only
 #   ci/sanitize.sh thread       # TSan: concurrency tests under KGC_THREADS=4
+#   ci/sanitize.sh release      # no sanitizer: -DCMAKE_BUILD_TYPE=Release
+#                               # (-O3, NDEBUG) must build warning-clean
+#                               # and pass tier-1
 #
 # Uses a dedicated build directory per configuration (build-sanitize,
-# build-sanitize-thread) so it never pollutes the regular `build/` tree.
+# build-sanitize-thread, build-release) so it never pollutes the regular
+# `build/` tree.
 # Exits non-zero on any build or test failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 SANITIZERS="${1:-address;undefined}"
+BUILD_TYPE="RelWithDebInfo"
 BUILD_DIR="build-sanitize"
-if [[ "${SANITIZERS}" == *thread* ]]; then
+if [[ "${SANITIZERS}" == release ]]; then
+  SANITIZERS=""
+  BUILD_TYPE="Release"
+  BUILD_DIR="build-release"
+elif [[ "${SANITIZERS}" == *thread* ]]; then
   # TSan cannot share a build tree (or a process) with ASan.
   BUILD_DIR="build-sanitize-thread"
 fi
 
-echo "== configuring with KGC_SANITIZE=${SANITIZERS} =="
+echo "== configuring ${BUILD_TYPE} with KGC_SANITIZE=${SANITIZERS} =="
 cmake -B "${BUILD_DIR}" -S . -DKGC_SANITIZE="${SANITIZERS}" \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
+      -DCMAKE_BUILD_TYPE="${BUILD_TYPE}"
 
 echo "== building =="
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
@@ -41,8 +51,8 @@ if [[ "${SANITIZERS}" == *thread* ]]; then
   # kg_test and flat_set_test pin the storage substrate: TripleStore's flat
   # membership sets are probed concurrently (const-only) from every ranking
   # shard, so the batched probe path must be race-free. topk_test shards
-  # query groups across workers and shares the norm-index cache behind a
-  # mutex, and asserts bit-identical results at 1/2/4 threads.
+  # query groups across workers and asserts bit-identical results at 1/2/4
+  # threads.
   export KGC_THREADS=4
   # report_signal_unsafe=0: the BenchTelemetry crash handler deliberately
   # flushes the run report from inside a fatal-signal handler (a
@@ -78,10 +88,6 @@ else
     # behind the replaced unordered_set substrate (bench_scale exits 1 on
     # either breach). Under ASan the *memory* assertion still holds
     # (IndexBytes counts container capacities, not malloc overhead).
-    # The same smoke run gates the top-K fast path: >= 3x over the
-    # full-sweep oracle at K=10 on the clustered 100k workload, with the
-    # oracle cross-check on (the ratio is instrumentation-neutral: ASan
-    # slows both sides alike).
     echo "== bench_scale smoke budget under ASan =="
     "${BUILD_DIR}/bench/bench_scale" --smoke
 

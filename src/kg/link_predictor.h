@@ -7,17 +7,19 @@
 #ifndef KGC_KG_LINK_PREDICTOR_H_
 #define KGC_KG_LINK_PREDICTOR_H_
 
+#include <cstddef>
 #include <span>
 
 #include "kg/triple.h"
 
 namespace kgc {
 
-/// The per-(query, row) kernel shape a model's sweep reduces to. The top-K
-/// engine (eval/topk.h) uses this to run blocked multi-query kernels and —
-/// for the distance kinds — exact norm-bound pruning.
+/// The per-(query, row) kernel shape a model's sweep reduces to. Embedding
+/// models' ScoreTails/ScoreHeads (SweepRows) and the top-K engine
+/// (eval/topk.h, blocked kernels) share the per-row reduction and
+/// SweepEpilogue, so the two agree bit for bit.
 enum class SweepKind {
-  kNone = 0,   // no kernel sweep; engine falls back to full ScoreTails
+  kNone = 0,   // no kernel sweep; the predictor implements Score* itself
   kDot,        // score = dot(q, row) (+ optional per-row bias)
   kL1,         // score = -sum_j |q_j - row_j|
   kL2,         // score = -||q - row||_2
@@ -44,14 +46,20 @@ struct SweepSpec {
   float coef_scale = 0.0f;      // sign/scale applied to coef
   const float* bias = nullptr;  // per-row additive bias (kDot only), or null
   bool negate = false;          // true: score = -kernel(q, row) (distances)
-  bool stable_rows = false;     // true: `rows` aliases storage that stays put
-                                // while the model's parameters are unchanged
-                                // (safe to reuse a norm index keyed on the
-                                // pointer for one engine run); false for
-                                // transient per-thread buffers such as
-                                // TransR's per-relation projection
-
 };
+
+/// Scores of query `q` against candidate rows [first, first + count) of
+/// `spec`, written to out[0..count): the single-query *_rows kernel of
+/// spec.kind, then SweepEpilogue. Each row reduces independently, so a
+/// one-row call reproduces a full sweep's bits for that row.
+void SweepRows(const SweepSpec& spec, const float* q, size_t first,
+               size_t count, float* out);
+
+/// Turns raw kernel values of rows [first, first + count) into scores in
+/// place: += bias[e], then negate for distances. SweepRows applies it; the
+/// top-K engine applies it to its blocked kernel output.
+void SweepEpilogue(const SweepSpec& spec, size_t first, size_t count,
+                   float* out);
 
 class LinkPredictor {
  public:
@@ -73,8 +81,8 @@ class LinkPredictor {
 
   /// Describes the kernel sweep behind ScoreTails (tails=true) or ScoreHeads
   /// (tails=false) for relation r. Returns false (the default) when the
-  /// model has no kernel-shaped sweep — rule models, say — in which case
-  /// the top-K engine falls back to the full Score* path.
+  /// predictor has no kernel-shaped sweep — rule models, say — in which
+  /// case the top-K engine falls back to the full Score* path.
   virtual bool DescribeSweep(bool tails, RelationId r,
                              SweepSpec* spec) const {
     (void)tails;

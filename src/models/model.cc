@@ -12,6 +12,8 @@
 #include "models/transh.h"
 #include "models/transr.h"
 #include "models/tucker.h"
+#include "util/check.h"
+#include "util/vecmath.h"
 
 namespace kgc {
 
@@ -56,18 +58,24 @@ StatusOr<ModelType> ParseModelType(const std::string& name) {
 
 void KgeModel::ScoreTails(EntityId h, RelationId r,
                           std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  for (EntityId e = 0; e < num_entities_; ++e) {
-    out[static_cast<size_t>(e)] = static_cast<float>(Score(h, r, e));
-  }
+  Sweep(/*tails=*/true, r, h, out);
 }
 
 void KgeModel::ScoreHeads(RelationId r, EntityId t,
                           std::span<float> out) const {
+  Sweep(/*tails=*/false, r, t, out);
+}
+
+void KgeModel::Sweep(bool tails, RelationId r, EntityId anchor,
+                     std::span<float> out) const {
   KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  for (EntityId e = 0; e < num_entities_; ++e) {
-    out[static_cast<size_t>(e)] = static_cast<float>(Score(e, r, t));
-  }
+  SweepSpec spec;
+  const bool described = DescribeSweep(tails, r, &spec);
+  KGC_CHECK(described);
+  KGC_CHECK_EQ(spec.num_rows, out.size());
+  auto q = vec::GetScratch(spec.query_len, 0);
+  BuildSweepQuery(tails, r, anchor, q);
+  SweepRows(spec, q.data(), 0, spec.num_rows, out.data());
 }
 
 std::unique_ptr<KgeModel> CreateModel(ModelType type, int32_t num_entities,

@@ -3,8 +3,10 @@
 // A model scores triples (higher = more plausible) and knows how to apply an
 // SGD step given the upstream loss gradient dLoss/dScore computed by the
 // Trainer. Batch scorers over all candidate heads / tails are the
-// performance-critical path of link-prediction evaluation; every model
-// overrides them with a vectorised implementation.
+// performance-critical path of link-prediction evaluation. A model does not
+// write them: it describes its sweep (DescribeSweep + BuildSweepQuery) and
+// KgeModel executes that description through the same kernels and epilogue
+// the top-K engine uses, so every model is ranked by one code path.
 
 #ifndef KGC_MODELS_MODEL_H_
 #define KGC_MODELS_MODEL_H_
@@ -99,11 +101,19 @@ class KgeModel : public LinkPredictor {
   /// Scores (h, r, e) for every entity e into out[e].
   /// out.size() must be num_entities().
   void ScoreTails(EntityId h, RelationId r,
-                  std::span<float> out) const override;
+                  std::span<float> out) const final;
 
   /// Scores (e, r, t) for every entity e into out[e].
   void ScoreHeads(RelationId r, EntityId t,
-                  std::span<float> out) const override;
+                  std::span<float> out) const final;
+
+  /// Every embedding model has a kernel-shaped sweep; Score* executes it.
+  /// BuildSweepQuery must not use vec::GetScratch slot 0 (the executor's
+  /// query buffer), and DescribeSweep's pointers must survive it.
+  bool DescribeSweep(bool tails, RelationId r,
+                     SweepSpec* spec) const override = 0;
+  void BuildSweepQuery(bool tails, RelationId r, EntityId anchor,
+                       std::span<float> q) const override = 0;
 
   /// Hook called by the trainer when an epoch begins (entity normalization
   /// for translational models happens here).
@@ -118,6 +128,12 @@ class KgeModel : public LinkPredictor {
   int32_t num_entities_;
   int32_t num_relations_;
   ModelHyperParams params_;
+
+ private:
+  // The one Score* executor: DescribeSweep, BuildSweepQuery into scratch
+  // slot 0, then SweepRows over every entity.
+  void Sweep(bool tails, RelationId r, EntityId anchor,
+             std::span<float> out) const;
 };
 
 /// Creates a freshly initialized model of the given type.

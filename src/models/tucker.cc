@@ -131,24 +131,6 @@ void TuckER::ApplyGradient(const Triple& triple, float d_loss_d_score,
   relations_.UpdateRow(triple.relation, gr, lr);
 }
 
-void TuckER::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t de = static_cast<size_t>(dim_e_);
-  auto u = vec::GetScratch(de, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, u);
-  vec::Ops().dot_rows(u.data(), entities_.raw(),
-                      static_cast<size_t>(num_entities_), de, de, out.data());
-}
-
-void TuckER::ScoreHeads(RelationId r, EntityId t, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t de = static_cast<size_t>(dim_e_);
-  auto v = vec::GetScratch(de, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, v);
-  vec::Ops().dot_rows(v.data(), entities_.raw(),
-                      static_cast<size_t>(num_entities_), de, de, out.data());
-}
-
 bool TuckER::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   (void)tails;
   (void)r;
@@ -158,7 +140,6 @@ bool TuckER::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->stride = static_cast<size_t>(dim_e_);
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
-  spec->stable_rows = true;
   return true;
 }
 

@@ -22,7 +22,7 @@
 //   u8  version
 //   u8  status  (ReplyStatus)
 //   u8  flags   (bit 0: kReplyFlagDegraded — answered by the oracle sweep,
-//               not the pruned fast path)
+//               not the blocked fast path)
 //   u64 id
 //   i64 generation   snapshot generation that answered (-1 when none)
 //   -- kOk + kTopK:     u32 n, then n x { u32 entity, u32 score_bits }

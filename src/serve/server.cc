@@ -80,7 +80,6 @@ ServeOptions ServeOptions::FromEnv() {
   options.write_timeout_ms =
       EnvInt("KGC_SERVE_WRITE_TIMEOUT_MS", options.write_timeout_ms);
   options.max_k = EnvInt("KGC_SERVE_MAX_K", options.max_k);
-  options.prune = EnvBool("KGC_SERVE_PRUNE", options.prune);
   options.force_oracle =
       EnvBool("KGC_SERVE_FORCE_ORACLE", options.force_oracle);
   return options;
@@ -412,8 +411,6 @@ void Server::ServeBatch(std::vector<PendingRequest>& batch) {
     // request keeps its own-K prefix. Top-K lists are a pure function of
     // the model (score desc, entity asc total order), so a K' prefix of a
     // K-run equals a direct K'-run bit for bit.
-    SweepSpec spec;
-    bool degraded = options_.force_oracle;
     std::vector<TopKQuery> queries;
     queries.reserve(topk_indices.size());
     for (size_t i : topk_indices) {
@@ -423,13 +420,9 @@ void Server::ServeBatch(std::vector<PendingRequest>& batch) {
       query.relation = request.relation;
       query.anchor = request.anchor;
       queries.push_back(std::move(query));
-      if (!model.DescribeSweep(request.tails, request.relation, &spec)) {
-        degraded = true;  // no kernel sweep: engine falls back to oracle
-      }
     }
     TopKOptions topt;
     topt.k = static_cast<int>(std::max<uint32_t>(max_k_needed, 1));
-    topt.prune = options_.prune;
     topt.threads = 1;  // the blocked sweep is the batching; keep it exact
     const TripleStore& filter = gen->dataset.all_store();
     std::vector<TopKResult> results;
@@ -447,7 +440,9 @@ void Server::ServeBatch(std::vector<PendingRequest>& batch) {
       const Request& request = batch[topk_indices[j]].request;
       Reply& reply = replies[topk_indices[j]];
       reply.status = ReplyStatus::kOk;
-      if (degraded) reply.flags |= kReplyFlagDegraded;
+      // Every served model describes a kernel sweep, so only a forced
+      // oracle run is degraded.
+      if (options_.force_oracle) reply.flags |= kReplyFlagDegraded;
       const std::vector<TopKEntry>& list =
           request.filtered ? results[j].filtered : results[j].raw;
       uint32_t k = std::min<uint32_t>(

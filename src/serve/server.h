@@ -15,8 +15,8 @@
 //   deadline     expired before scoring => DEADLINE_EXCEEDED, never scored
 //   malformed    bad frame => MALFORMED reply, connection closed
 //   slow client  write timeout => drop + close (kgc.serve.slow_client_drops)
-//   degradation  model without a kernel sweep (or KGC_SERVE_FORCE_ORACLE=1)
-//                => oracle sweep, reply flagged degraded; bit-identical
+//   degradation  KGC_SERVE_FORCE_ORACLE=1 => oracle sweep, reply flagged
+//                degraded; bit-identical
 //   rotation     Repin between batches; replies carry the generation
 //   SIGTERM      Shutdown(): stop accepting, drain the queue, answer
 //                everything queued, then exit (kgc.serve.drained_requests)
@@ -66,8 +66,6 @@ struct ServeOptions {
   int write_timeout_ms = 2000;
   /// K is clamped to this (and to num_entities).
   int max_k = 1024;
-  /// Norm-bound pruning in the top-K fast path.
-  bool prune = true;
   /// Forces the oracle sweep — every OK top-K reply flags degraded.
   bool force_oracle = false;
   /// Seed for classification threshold fitting; kgc_load must use the same
@@ -76,8 +74,7 @@ struct ServeOptions {
 
   /// Defaults overlaid with KGC_SERVE_MAX_CONNECTIONS, KGC_SERVE_QUEUE,
   /// KGC_SERVE_MAX_BATCH, KGC_SERVE_LINGER_US, KGC_SERVE_DEADLINE_MS,
-  /// KGC_SERVE_WRITE_TIMEOUT_MS, KGC_SERVE_MAX_K, KGC_SERVE_PRUNE,
-  /// KGC_SERVE_FORCE_ORACLE.
+  /// KGC_SERVE_WRITE_TIMEOUT_MS, KGC_SERVE_MAX_K, KGC_SERVE_FORCE_ORACLE.
   static ServeOptions FromEnv();
 };
 

@@ -179,12 +179,6 @@ void SetKernelPathForTest(KernelPath path);
 /// unspecified on entry.
 std::span<float> GetScratch(size_t n, int slot = 0);
 
-/// out[j] = -out[j]. Element-wise sign flip used to turn kernel distances
-/// into scores; cheap enough that it needs no dispatch.
-inline void Negate(std::span<float> out) {
-  for (float& v : out) v = -v;
-}
-
 // Convenience forwarders through the active table.
 inline double Dot(const float* a, const float* b, size_t n) {
   return Ops().dot(a, b, n);

@@ -12,6 +12,7 @@
 #include "rules/amie.h"
 #include "rules/simple_rule_model.h"
 #include "util/file_util.h"
+#include "util/string_util.h"
 
 namespace kgc {
 namespace {
@@ -86,7 +87,7 @@ TEST(EdgeCaseTest, ChainedDuplicatesCollapseToOneSurvivor) {
   }
   Vocab vocab;
   for (int i = 0; i < 20; ++i) vocab.InternEntity(std::to_string(i));
-  for (int r = 0; r < 3; ++r) vocab.InternRelation("r" + std::to_string(r));
+  for (int r = 0; r < 3; ++r) vocab.InternRelation(StrFormat("r%d", r));
   Dataset dataset("d", vocab, train, {}, {});
   const RedundancyCatalog catalog =
       RedundancyCatalog::Detect(dataset.all_store());

@@ -21,6 +21,7 @@
 #include "rules/amie.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace kgc {
@@ -145,7 +146,7 @@ Dataset RedundantDataset() {
   const int32_t n = 20;
   Vocab vocab;
   for (int32_t i = 0; i < n; ++i) {
-    vocab.InternEntity("e" + std::to_string(i));
+    vocab.InternEntity(StrFormat("e%d", i));
   }
   const RelationId a = vocab.InternRelation("a");
   const RelationId a_dup = vocab.InternRelation("a_dup");
@@ -231,9 +232,9 @@ TEST(ParallelDeterminismTest, RankTriplesIsThreadCountInvariant) {
   const int32_t num_entities = 40;
   Vocab vocab;
   for (int32_t i = 0; i < num_entities; ++i) {
-    vocab.InternEntity("e" + std::to_string(i));
+    vocab.InternEntity(StrFormat("e%d", i));
   }
-  for (int r = 0; r < 4; ++r) vocab.InternRelation("r" + std::to_string(r));
+  for (int r = 0; r < 4; ++r) vocab.InternRelation(StrFormat("r%d", r));
   Rng rng(5);
   TripleList train;
   TripleList test;
@@ -272,9 +273,9 @@ TEST(ParallelDeterminismTest, QueryDedupIsBitIdenticalAcrossThreadCounts) {
   const int32_t num_entities = 25;
   Vocab vocab;
   for (int32_t i = 0; i < num_entities; ++i) {
-    vocab.InternEntity("e" + std::to_string(i));
+    vocab.InternEntity(StrFormat("e%d", i));
   }
-  for (int r = 0; r < 2; ++r) vocab.InternRelation("r" + std::to_string(r));
+  for (int r = 0; r < 2; ++r) vocab.InternRelation(StrFormat("r%d", r));
   TripleList train;
   TripleList test;
   for (EntityId h = 0; h < 3; ++h) {
@@ -316,9 +317,9 @@ TEST(ParallelDeterminismTest, ProbeFilterIsBitIdenticalAcrossThreadCounts) {
   const int32_t num_entities = 30;
   Vocab vocab;
   for (int32_t i = 0; i < num_entities; ++i) {
-    vocab.InternEntity("e" + std::to_string(i));
+    vocab.InternEntity(StrFormat("e%d", i));
   }
-  for (int r = 0; r < 2; ++r) vocab.InternRelation("r" + std::to_string(r));
+  for (int r = 0; r < 2; ++r) vocab.InternRelation(StrFormat("r%d", r));
   Rng rng(11);
   TripleList train;
   TripleList test;
@@ -388,7 +389,7 @@ TEST(ParallelDeterminismTest, ProbeFilterIsBitIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminismTest, RankTriplesHandlesEmptyTestSplit) {
   Vocab vocab;
   for (int32_t i = 0; i < 5; ++i) {
-    vocab.InternEntity("e" + std::to_string(i));
+    vocab.InternEntity(StrFormat("e%d", i));
   }
   vocab.InternRelation("r");
   const Dataset dataset("empty", std::move(vocab), {{0, 0, 1}}, {}, {});

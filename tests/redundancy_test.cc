@@ -6,6 +6,7 @@
 #include "redundancy/cleaner.h"
 #include "redundancy/detectors.h"
 #include "redundancy/leakage.h"
+#include "util/string_util.h"
 
 namespace kgc {
 namespace {
@@ -123,7 +124,7 @@ TEST(CatalogTest, DetectAndPartnerLookup) {
 Dataset CraftedDataset() {
   Vocab vocab;
   for (int i = 0; i < 10; ++i) {
-    vocab.InternEntity("e" + std::to_string(i));
+    vocab.InternEntity(StrFormat("e%d", i));
   }
   for (const char* name : {"likes", "liked_by", "adores", "married", "pos"}) {
     vocab.InternRelation(name);
@@ -180,7 +181,7 @@ TEST(BitmapTest, ClassifiesTestTriples) {
 
 TEST(BitmapTest, SymmetricReverseInTestDetected) {
   Vocab vocab;
-  for (int i = 0; i < 4; ++i) vocab.InternEntity("e" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) vocab.InternEntity(StrFormat("e%d", i));
   vocab.InternRelation("sym");
   RedundancyCatalog catalog;
   catalog.symmetric_relations.push_back(0);
@@ -224,7 +225,7 @@ TEST(CleanerTest, Fb237DropsRedundantRelationsAndLinkedTestTriples) {
 
 TEST(CleanerTest, Fb237RemovesTestTriplesLinkedInTrain) {
   Vocab vocab;
-  for (int i = 0; i < 4; ++i) vocab.InternEntity("e" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) vocab.InternEntity(StrFormat("e%d", i));
   vocab.InternRelation("a");
   vocab.InternRelation("b");
   RedundancyCatalog empty_catalog;
@@ -259,7 +260,7 @@ TEST(CleanerTest, Wn18rrKeepsSymmetricRelations) {
 
 TEST(CleanerTest, YagoDrDropsDuplicateAndDedupsSymmetric) {
   Vocab vocab;
-  for (int i = 0; i < 6; ++i) vocab.InternEntity("e" + std::to_string(i));
+  for (int i = 0; i < 6; ++i) vocab.InternEntity(StrFormat("e%d", i));
   vocab.InternRelation("isAffiliatedTo");
   vocab.InternRelation("playsFor");
   vocab.InternRelation("isMarriedTo");

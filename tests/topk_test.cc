@@ -1,8 +1,7 @@
 // Tests for the top-K retrieval engine (eval/topk.h): oracle agreement
-// across all ten models, K values, thread counts, pruning on/off and
-// filtered/unfiltered; counter determinism across thread counts; kernel-path
-// invariance; the fallback path for sweep-less predictors; and the Hits@K
-// routing through EvaluatePredictor.
+// across all ten models, K values, thread counts and filtered/unfiltered;
+// counter determinism across thread counts; kernel-path invariance; and the
+// fallback path for sweep-less predictors.
 
 #include "eval/topk.h"
 
@@ -12,8 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "datagen/presets.h"
-#include "eval/ranker.h"
 #include "models/model.h"
 #include "obs/metrics.h"
 #include "util/vecmath.h"
@@ -91,41 +88,35 @@ void ExpectResultsEqual(const std::vector<TopKResult>& actual,
 
 class TopKModelTest : public ::testing::TestWithParam<ModelType> {};
 
-// The core contract: for every model, K, pruning setting and filter
-// setting, the fast path equals the truncated full ranking bit for bit.
+// The core contract: for every model, K and filter setting, the fast path
+// equals the truncated full ranking bit for bit.
 TEST_P(TopKModelTest, MatchesOracleBitForBit) {
   const auto model = CreateModel(GetParam(), kEntities, kRelations,
                                  SmallParams(GetParam()));
   const auto queries = MakeQueries();
   const TripleStore filter = MakeFilter();
   for (int k : {1, 10, 100}) {
-    for (bool prune : {false, true}) {
-      for (const TripleStore* f : {static_cast<const TripleStore*>(nullptr),
-                                   &filter}) {
-        TopKOptions options;
-        options.k = k;
-        options.prune = prune;
-        options.threads = 1;
-        options.tile_rows = 32;  // several tiles even at 150 entities
-        options.query_block = 4;
-        const TopKEngine engine(*model, options);
-        const auto results = engine.Run(queries, f);
-        ASSERT_EQ(results.size(), queries.size());
-        for (size_t i = 0; i < queries.size(); ++i) {
-          const TopKResult oracle =
-              TopKEngine::OracleTopK(*model, queries[i], k, f);
-          SCOPED_TRACE(testing::Message()
-                       << ModelTypeName(GetParam()) << " k=" << k
-                       << " prune=" << prune << " filtered=" << (f != nullptr)
-                       << " query " << i);
-          ExpectEntriesEqual(results[i].raw, oracle.raw, "raw");
-          ExpectEntriesEqual(results[i].filtered, oracle.filtered,
-                             "filtered");
-          ASSERT_EQ(results[i].watch_scores.size(),
-                    oracle.watch_scores.size());
-          EXPECT_EQ(Bits(results[i].watch_scores[0]),
-                    Bits(oracle.watch_scores[0]));
-        }
+    for (const TripleStore* f : {static_cast<const TripleStore*>(nullptr),
+                                 &filter}) {
+      TopKOptions options;
+      options.k = k;
+      options.threads = 1;
+      options.tile_rows = 32;  // several tiles even at 150 entities
+      options.query_block = 4;
+      const TopKEngine engine(*model, options);
+      const auto results = engine.Run(queries, f);
+      ASSERT_EQ(results.size(), queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const TopKResult oracle =
+            TopKEngine::OracleTopK(*model, queries[i], k, f);
+        SCOPED_TRACE(testing::Message()
+                     << ModelTypeName(GetParam()) << " k=" << k
+                     << " filtered=" << (f != nullptr) << " query " << i);
+        ExpectEntriesEqual(results[i].raw, oracle.raw, "raw");
+        ExpectEntriesEqual(results[i].filtered, oracle.filtered, "filtered");
+        ASSERT_EQ(results[i].watch_scores.size(), oracle.watch_scores.size());
+        EXPECT_EQ(Bits(results[i].watch_scores[0]),
+                  Bits(oracle.watch_scores[0]));
       }
     }
   }
@@ -277,38 +268,6 @@ TEST(TopKOptionsTest, KLargerThanEntityCountReturnsEverything) {
     EXPECT_TRUE(prev.score > cur.score ||
                 (prev.score == cur.score && prev.entity < cur.entity));
   }
-}
-
-// Hits@K routed through the fast path must agree with the classic full
-// ranking sweep on a real dataset (random float scores make exact-score
-// ties — the only semantic difference — vanishingly unlikely), and must
-// leave MR/MRR untouched.
-TEST(TopKHitsRoutingTest, MatchesFullSweepHits) {
-  const SyntheticKg kg = GenerateTiny(42);
-  const auto model =
-      CreateModel(ModelType::kTransE, kg.dataset.num_entities(),
-                  kg.dataset.num_relations(),
-                  SmallParams(ModelType::kTransE));
-  RankerOptions base;
-  base.threads = 2;
-  const LinkPredictionMetrics classic =
-      EvaluatePredictor(*model, kg.dataset, base);
-
-  RankerOptions routed = base;
-  routed.topk.enabled = true;
-  routed.topk.cross_check = true;  // belt and braces: oracle-verify inside
-  const LinkPredictionMetrics fast =
-      EvaluatePredictor(*model, kg.dataset, routed);
-
-  EXPECT_EQ(fast.num_triples, classic.num_triples);
-  EXPECT_EQ(fast.mr, classic.mr);
-  EXPECT_EQ(fast.mrr, classic.mrr);
-  EXPECT_EQ(fast.fmr, classic.fmr);
-  EXPECT_EQ(fast.fmrr, classic.fmrr);
-  EXPECT_DOUBLE_EQ(fast.hits1, classic.hits1);
-  EXPECT_DOUBLE_EQ(fast.hits10, classic.hits10);
-  EXPECT_DOUBLE_EQ(fast.fhits1, classic.fhits1);
-  EXPECT_DOUBLE_EQ(fast.fhits10, classic.fhits10);
 }
 
 }  // namespace
