@@ -268,6 +268,50 @@ std::vector<TopKQuery> MakeTopKBenchQueries(int32_t num_entities,
   return queries;
 }
 
+namespace {
+
+void NaiveRank(std::span<const float> scores, EntityId true_entity,
+               std::span<const EntityId> known, double* raw,
+               double* filtered) {
+  const float s_true = scores[static_cast<size_t>(true_entity)];
+  double greater = 0.0;
+  double equal = -1.0;  // the true entity ties with itself
+  for (float s : scores) {
+    greater += s > s_true ? 1.0 : 0.0;
+    equal += s == s_true ? 1.0 : 0.0;
+  }
+  double greater_known = 0.0;
+  double equal_known = 0.0;
+  for (EntityId e : known) {
+    if (e == true_entity) continue;
+    const float s = scores[static_cast<size_t>(e)];
+    greater_known += s > s_true ? 1.0 : 0.0;
+    equal_known += s == s_true ? 1.0 : 0.0;
+  }
+  *raw = greater + equal / 2.0 + 1.0;
+  *filtered = (greater - greater_known) + (equal - equal_known) / 2.0 + 1.0;
+}
+
+}  // namespace
+
+std::vector<TripleRanks> NaiveRankTriples(const LinkPredictor& predictor,
+                                          const TripleStore& filter,
+                                          const TripleList& test) {
+  std::vector<float> scores(static_cast<size_t>(predictor.num_entities()));
+  std::vector<TripleRanks> ranks(test.size());
+  for (size_t i = 0; i < test.size(); ++i) {
+    const Triple& t = test[i];
+    ranks[i].triple = t;
+    predictor.ScoreTails(t.head, t.relation, scores);
+    NaiveRank(scores, t.tail, filter.Tails(t.head, t.relation),
+              &ranks[i].tail_raw, &ranks[i].tail_filtered);
+    predictor.ScoreHeads(t.relation, t.tail, scores);
+    NaiveRank(scores, t.head, filter.Heads(t.relation, t.tail),
+              &ranks[i].head_raw, &ranks[i].head_filtered);
+  }
+  return ranks;
+}
+
 TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
                                     const std::string& label,
                                     std::span<const TopKQuery> queries, int k,

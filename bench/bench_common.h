@@ -109,6 +109,14 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
                                     std::span<const TopKQuery> queries, int k,
                                     bool cross_check, int reps);
 
+/// Brute-force filtered ranking, the oracle RankTriples must match bit for
+/// bit: per test triple and direction, the full ScoreTails/ScoreHeads
+/// vector, greater/equal counted over all N entities, and the filtered
+/// correction from walking `filter`'s known adjacency with multiplicity.
+std::vector<TripleRanks> NaiveRankTriples(const LinkPredictor& predictor,
+                                          const TripleStore& filter,
+                                          const TripleList& test);
+
 /// Builds the canonical context: cache dir from $KGC_CACHE_DIR (default
 /// "kgc_cache"), default seeds, quiet training logs.
 ExperimentContext MakeContext();

@@ -7,9 +7,10 @@
 //   - thread_scaling:    the full RankTriples sweep at 1 / 2 / N workers;
 //   - kernel_paths:      per-model ScoreTails sweeps under the generic vs
 //                        the -march native kernel dispatch path;
-//   - query_dedup:       RankTriples on a duplicate-heavy test list with
-//                        query deduplication off vs on, with the
-//                        score_evals deltas;
+//   - blocked_rank:      the blocked RankTriples sweep on TransE at
+//                        scale:10000, µs per ranked triple at 1 / 4
+//                        threads under each kernel path, checked against
+//                        the brute-force rank oracle;
 //   - exporter_overhead: the ScoreTails sweep with the live metrics
 //                        exporter off vs running at 100 ms;
 //   - topk:              the TopKEngine fast path vs the full-sweep oracle
@@ -35,6 +36,7 @@
 #include <utility>
 
 #include "bench/bench_common.h"
+#include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "eval/ranker.h"
 #include "models/model.h"
@@ -250,10 +252,10 @@ double MeasureSweepNsPerEntity(const KgeModel& model, int reps) {
 
 /// Times every model's ScoreTails sweep under the generic and (when
 /// available) the -march native kernel path and writes the kernel_paths
-/// JSON section. The dispatch override is restored to generic afterwards,
-/// the build's default.
+/// JSON section. The path active on entry is restored afterwards.
 void RunKernelPaths(std::ostream& out) {
   const bool native = vec::NativeKernelsAvailable();
+  const vec::KernelPath saved_path = vec::ActiveKernelPath();
   out << "  \"kernel_paths\": {\n"
       << "    \"native_available\": " << (native ? "true" : "false") << ",\n"
       << "    \"models\": [\n";
@@ -271,8 +273,8 @@ void RunKernelPaths(std::ostream& out) {
       vec::SetKernelPathForTest(vec::KernelPath::kNative);
       MeasureSweepNsPerEntity(*model, 5);
       native_ns = MeasureSweepNsPerEntity(*model, reps);
-      vec::SetKernelPathForTest(vec::KernelPath::kGeneric);
     }
+    vec::SetKernelPathForTest(saved_path);
     out << "      {\"model\": \"" << ModelTypeName(type)
         << "\", \"generic_ns_per_entity\": " << generic_ns;
     if (native) {
@@ -291,37 +293,30 @@ void RunKernelPaths(std::ostream& out) {
   out << "    ]\n  }";
 }
 
-// --- Query deduplication ---------------------------------------------------
+// --- Blocked ranking -------------------------------------------------------
 
-/// Times RankTriples on a duplicate-heavy test list with query dedup off vs
-/// on (under each compiled kernel path), records the score_evals counter
-/// delta for each run, verifies ranks are bit-identical, and writes the
-/// query_dedup JSON section. Returns non-zero if ranks diverge.
-int RunQueryDedup(std::ostream& out) {
-  const SyntheticKg& kg = SharedKg();
-  const auto model = MakeModel(ModelType::kTransE);
-  // A few anchors fanned out over many tails: most triples share their
-  // (head, relation) query, and the shared tails make the reverse
-  // (relation, tail) queries heavily duplicated too.
-  TripleList dup;
-  for (size_t i = 0; i < 5; ++i) {
-    const Triple& base = kg.dataset.test()[i % kg.dataset.test().size()];
-    for (EntityId t = 0; t < 40; ++t) {
-      dup.push_back({base.head, base.relation, t});
-    }
-  }
-  obs::Counter& score_evals =
-      obs::Registry::Get().GetCounter(obs::kRankerScoreEvals);
+/// Times the blocked RankTriples sweep on TransE at scale:10000 (untrained,
+/// default dim) at 1 and 4 threads under each compiled kernel path, checks
+/// every run against the brute-force rank oracle bit for bit, and writes
+/// the blocked_rank JSON section. Returns non-zero on any mismatch.
+int RunBlockedRank(std::ostream& out) {
+  const Dataset dataset =
+      GenerateKg(ScaleSpec(10000), kDefaultDataSeed).dataset;
+  const auto model = CreateModel(ModelType::kTransE, dataset.num_entities(),
+                                 dataset.num_relations(),
+                                 DefaultHyperParams(ModelType::kTransE));
+  const TripleList& test = dataset.test();
+  const auto oracle =
+      bench::NaiveRankTriples(*model, dataset.all_store(), test);
 
-  struct DedupPoint {
+  struct RankPoint {
     const char* kernel;
-    bool dedup;
-    double seconds;
-    uint64_t evals;
+    int threads;
+    double us_per_triple;
   };
-  std::vector<DedupPoint> points;
-  std::vector<TripleRanks> baseline;
+  std::vector<RankPoint> points;
   bool bit_identical = true;
+  const vec::KernelPath saved_path = vec::ActiveKernelPath();
   const std::vector<vec::KernelPath> paths =
       vec::NativeKernelsAvailable()
           ? std::vector<vec::KernelPath>{vec::KernelPath::kGeneric,
@@ -329,62 +324,53 @@ int RunQueryDedup(std::ostream& out) {
           : std::vector<vec::KernelPath>{vec::KernelPath::kGeneric};
   for (vec::KernelPath path : paths) {
     vec::SetKernelPathForTest(path);
-    for (bool dedup : {false, true}) {
+    for (int threads : {1, 4}) {
       RankerOptions options;
-      options.threads = 1;
-      options.dedup_queries = dedup;
-      DedupPoint point;
-      point.kernel = vec::OpsFor(path).name;
-      point.dedup = dedup;
-      point.seconds = std::numeric_limits<double>::infinity();
-      std::vector<TripleRanks> ranks;
+      options.threads = threads;
+      double best = std::numeric_limits<double>::infinity();
       for (int rep = 0; rep < 3; ++rep) {
-        const uint64_t evals_before = score_evals.value();
         const auto start = std::chrono::steady_clock::now();
-        ranks = RankTriples(*model, kg.dataset, dup, options);
-        const std::chrono::duration<double> elapsed =
+        const auto ranks = RankTriples(*model, dataset, test, options);
+        const std::chrono::duration<double, std::micro> elapsed =
             std::chrono::steady_clock::now() - start;
-        point.seconds = std::min(point.seconds, elapsed.count());
-        point.evals = score_evals.value() - evals_before;
-      }
-      if (baseline.empty()) {
-        baseline = ranks;
-      } else {
+        best = std::min(best, elapsed.count());
         for (size_t i = 0; i < ranks.size(); ++i) {
-          if (ranks[i].head_raw != baseline[i].head_raw ||
-              ranks[i].head_filtered != baseline[i].head_filtered ||
-              ranks[i].tail_raw != baseline[i].tail_raw ||
-              ranks[i].tail_filtered != baseline[i].tail_filtered) {
+          if (ranks[i].head_raw != oracle[i].head_raw ||
+              ranks[i].head_filtered != oracle[i].head_filtered ||
+              ranks[i].tail_raw != oracle[i].tail_raw ||
+              ranks[i].tail_filtered != oracle[i].tail_filtered) {
             bit_identical = false;
           }
         }
       }
-      points.push_back(point);
+      points.push_back({vec::OpsFor(path).name, threads,
+                        best / static_cast<double>(test.size())});
     }
   }
-  vec::SetKernelPathForTest(vec::KernelPath::kGeneric);
+  vec::SetKernelPathForTest(saved_path);
 
-  out << "  \"query_dedup\": {\n"
+  out << "  \"blocked_rank\": {\n"
       << "    \"model\": \"" << ModelTypeName(ModelType::kTransE) << "\",\n"
-      << "    \"num_test_triples\": " << dup.size() << ",\n"
-      << "    \"bit_identical_dedup_on_vs_off\": "
+      << "    \"dataset\": \"scale:10000\",\n"
+      << "    \"num_entities\": " << dataset.num_entities() << ",\n"
+      << "    \"num_test_triples\": " << test.size() << ",\n"
+      << "    \"bit_identical_vs_oracle\": "
       << (bit_identical ? "true" : "false") << ",\n"
       << "    \"results\": [\n";
-  std::printf("\nquery dedup (RankTriples, %zu duplicate-heavy triples)\n",
-              dup.size());
+  std::printf("\nblocked ranking (RankTriples, TransE, scale:10000, %zu test "
+              "triples)\n",
+              test.size());
   for (size_t i = 0; i < points.size(); ++i) {
-    const DedupPoint& p = points[i];
-    out << "      {\"kernel\": \"" << p.kernel << "\", \"dedup\": "
-        << (p.dedup ? "true" : "false") << ", \"seconds\": " << p.seconds
-        << ", \"score_evals\": " << p.evals << "}"
+    const RankPoint& p = points[i];
+    out << "      {\"kernel\": \"" << p.kernel << "\", \"threads\": "
+        << p.threads << ", \"us_per_triple\": " << p.us_per_triple << "}"
         << (i + 1 < points.size() ? "," : "") << "\n";
-    std::printf("  kernel=%-7s dedup=%-5s  %.4fs  %llu score evals\n",
-                p.kernel, p.dedup ? "on" : "off", p.seconds,
-                static_cast<unsigned long long>(p.evals));
+    std::printf("  kernel=%-7s threads=%d  %.1f us/triple\n", p.kernel,
+                p.threads, p.us_per_triple);
   }
   out << "    ]\n  }";
   if (!bit_identical) {
-    std::fprintf(stderr, "ERROR: ranks differ between dedup on and off\n");
+    std::fprintf(stderr, "ERROR: blocked ranks differ from the oracle\n");
     return 1;
   }
   return 0;
@@ -609,7 +595,7 @@ int RunPostSuiteSections(bool topk_only) {
     out << ",\n";
     RunKernelPaths(out);
     out << ",\n";
-    rc |= RunQueryDedup(out);
+    rc |= RunBlockedRank(out);
     out << ",\n";
     RunExporterOverhead(out);
     out << ",\n";

@@ -9,7 +9,8 @@
 #   ci/sanitize.sh thread       # TSan: concurrency tests under KGC_THREADS=4
 #   ci/sanitize.sh release      # no sanitizer: -DCMAKE_BUILD_TYPE=Release
 #                               # (-O3, NDEBUG) must build warning-clean
-#                               # and pass tier-1
+#                               # and pass tier-1, on the default kernel
+#                               # path and again with KGC_KERNEL=generic
 #
 # Uses a dedicated build directory per configuration (build-sanitize,
 # build-sanitize-thread, build-release) so it never pollutes the regular
@@ -74,6 +75,14 @@ else
   export ASAN_OPTIONS="halt_on_error=1:strict_string_checks=1"
   export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
+
+  if [[ "${BUILD_TYPE}" == Release ]]; then
+    # Native kernels are the default wherever the CPU supports them, so the
+    # pass above may never run the baseline ISA end to end; force it once.
+    echo "== tier-1 tests with KGC_KERNEL=generic =="
+    KGC_KERNEL=generic ctest --test-dir "${BUILD_DIR}" --output-on-failure \
+      -j "$(nproc)"
+  fi
 
   if [[ "${SANITIZERS}" == *address* ]]; then
     # Promote the chaos suite into the ASan leg: the SIGKILL/recovery

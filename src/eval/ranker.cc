@@ -1,8 +1,9 @@
 #include "eval/ranker.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,123 +15,207 @@
 namespace kgc {
 namespace {
 
-// Computes tie-averaged raw and filtered rank of `true_entity` in a single
-// pass over the score array: the known-correct candidates are marked in
-// `known_mark` (a num_entities-sized scratch counter array, all zero on
-// entry) before the sweep, counted alongside the raw tallies during it, and
-// unmarked afterwards so the scratch is clean for the next triple without a
-// full O(num_entities) clear. Marks are occurrence counts, not booleans, so
-// a candidate listed twice contributes twice — exactly as iterating the
-// candidate list would.
-void ComputeRank(std::span<const float> scores, EntityId true_entity,
-                 std::span<const EntityId> known_correct,
-                 std::vector<uint32_t>& known_mark, double* raw,
-                 double* filtered) {
-  const float s_true = scores[static_cast<size_t>(true_entity)];
-  for (EntityId e : known_correct) {
-    if (e != true_entity) ++known_mark[static_cast<size_t>(e)];
-  }
+// Candidate tallies of one test triple against its true entity's score
+// s_true: `greater`/`equal` over every entity (equal includes the true
+// entity itself), `*_known` over the known adjacency excluding the true
+// entity, counted with multiplicity as the store lists it.
+struct RankTally {
+  EntityId true_entity = 0;
+  float s_true = 0.0f;
   size_t greater = 0;
   size_t equal = 0;
   size_t greater_known = 0;
   size_t equal_known = 0;
-  for (size_t e = 0; e < scores.size(); ++e) {
-    const float s = scores[e];
-    if (s > s_true) {
-      ++greater;
-      greater_known += known_mark[e];
-    } else if (s == s_true) {
-      ++equal;
-      equal_known += known_mark[e];
-    }
-  }
-  for (EntityId e : known_correct) {
-    known_mark[static_cast<size_t>(e)] = 0;
-  }
-  KGC_DCHECK(equal >= 1);  // the true entity itself
-  equal -= 1;
-
-  *raw = static_cast<double>(greater) + static_cast<double>(equal) / 2.0 + 1.0;
-  *filtered = static_cast<double>(greater - greater_known) +
-              static_cast<double>(equal - equal_known) / 2.0 + 1.0;
-}
-
-// Per-shard scratch of the probe-based rank path.
-struct ProbeScratch {
-  std::vector<EntityId> candidates;
-  std::vector<uint64_t> keys;
-  std::vector<uint8_t> found;
 };
 
-// Whether an ascending-sorted adjacency span lists any entity twice (the
-// store keeps duplicate facts; the marking path counts them multiply, so
-// the probe path — which cannot — must stand down for such groups).
-bool HasAdjacentDuplicates(std::span<const EntityId> sorted) {
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i] == sorted[i - 1]) return true;
-  }
-  return false;
-}
-
-// Probe-path rank: collect every candidate entity scoring >= s_true during
-// the raw sweep, then resolve which of them are known facts with one
-// prefetched batch probe against the filter store's flat membership set.
-// Returns false (leaving outputs untouched) if the candidate list exceeds
-// `candidate_cap` — degenerate all-tied score vectors would otherwise probe
-// nearly every entity, where the marking sweep is cheaper. The bail
-// decision depends only on the scores, never on the shard plan, so ranks
-// and probe counters stay bit-identical for any thread count.
-bool ComputeRankByProbe(std::span<const float> scores, EntityId true_entity,
-                        const TripleStore& filter, const Triple& triple,
-                        bool tails, size_t candidate_cap,
-                        ProbeScratch& scratch, double* raw,
-                        double* filtered) {
-  const float s_true = scores[static_cast<size_t>(true_entity)];
-  scratch.candidates.clear();
+void CountAbove(const float* scores, size_t n, RankTally* t) {
+  const float s_true = t->s_true;
   size_t greater = 0;
   size_t equal = 0;
-  for (size_t e = 0; e < scores.size(); ++e) {
-    const float s = scores[e];
-    if (s > s_true) {
-      ++greater;
-    } else if (s == s_true) {
-      ++equal;
-      if (static_cast<EntityId>(e) == true_entity) continue;
-    } else {
-      continue;
-    }
-    if (scratch.candidates.size() >= candidate_cap) return false;
-    scratch.candidates.push_back(static_cast<EntityId>(e));
+  for (size_t i = 0; i < n; ++i) {
+    greater += scores[i] > s_true;
+    equal += scores[i] == s_true;
   }
-  KGC_DCHECK(equal >= 1);  // the true entity itself
-  equal -= 1;
-
-  scratch.keys.clear();
-  for (EntityId e : scratch.candidates) {
-    scratch.keys.push_back(tails ? PackTriple(triple.head, triple.relation, e)
-                                 : PackTriple(e, triple.relation,
-                                              triple.tail));
-  }
-  scratch.found.resize(scratch.keys.size());
-  filter.ContainsBatch(scratch.keys, scratch.found.data());
-
-  size_t greater_known = 0;
-  size_t equal_known = 0;
-  for (size_t i = 0; i < scratch.candidates.size(); ++i) {
-    if (!scratch.found[i]) continue;
-    const float s = scores[static_cast<size_t>(scratch.candidates[i])];
-    if (s > s_true) {
-      ++greater_known;
-    } else {
-      ++equal_known;
-    }
-  }
-
-  *raw = static_cast<double>(greater) + static_cast<double>(equal) / 2.0 + 1.0;
-  *filtered = static_cast<double>(greater - greater_known) +
-              static_cast<double>(equal - equal_known) / 2.0 + 1.0;
-  return true;
+  t->greater += greater;
+  t->equal += equal;
 }
+
+// Tie-averaged raw and filtered rank from a finished tally.
+void StoreRank(const RankTally& t, double* raw, double* filtered) {
+  KGC_DCHECK(t.equal >= 1);  // the true entity itself
+  const size_t equal = t.equal - 1;
+  *raw = static_cast<double>(t.greater) + static_cast<double>(equal) / 2.0 +
+         1.0;
+  *filtered = static_cast<double>(t.greater - t.greater_known) +
+              static_cast<double>(equal - t.equal_known) / 2.0 + 1.0;
+}
+
+// Ranks whole blocks on one shard. A block is up to kSweepQueryBlock unique
+// (relation, anchor) queries of one relation, each with the test triples
+// that share it; all per-block buffers live here and are reused.
+struct BlockRanker {
+  BlockRanker(const LinkPredictor& predictor, const TripleStore& filter,
+              const TripleList& test, const std::vector<size_t>& order,
+              const std::vector<size_t>& query_start, bool tails,
+              std::vector<TripleRanks>& results)
+      : predictor(predictor),
+        filter(filter),
+        test(test),
+        order(order),
+        query_start(query_start),
+        tails(tails),
+        results(results) {}
+
+  const LinkPredictor& predictor;
+  const TripleStore& filter;
+  const TripleList& test;
+  const std::vector<size_t>& order;
+  // Unique query q spans order[query_start[q], query_start[q + 1]).
+  const std::vector<size_t>& query_start;
+  const bool tails;
+  std::vector<TripleRanks>& results;
+
+  bool described = false;
+  bool sweepable = false;
+  RelationId relation = 0;
+  SweepSpec spec;
+  std::vector<float> coef;
+  std::vector<float> v;
+  std::vector<float> qbuf;
+  std::vector<float> out;
+  std::vector<float> scores;
+  std::vector<float> known_scores;
+  std::vector<RankTally> tallies;  // the block's triples, in `order` order
+
+  // Ranks the triples of unique queries [q0, q1).
+  void RankBlock(size_t q0, size_t q1) {
+    const size_t first = query_start[q0];
+    const size_t last = query_start[q1];
+    Describe(test[order[first]].relation);
+    tallies.assign(last - first, RankTally{});
+    for (size_t i = first; i < last; ++i) {
+      const Triple& triple = test[order[i]];
+      tallies[i - first].true_entity = tails ? triple.tail : triple.head;
+    }
+    if (sweepable) {
+      SweepQueries(q0, q1);
+    } else {
+      for (size_t q = q0; q < q1; ++q) ScoreQuery(q0, q);
+    }
+    for (size_t i = first; i < last; ++i) {
+      const size_t idx = order[i];
+      TripleRanks& ranks = results[idx];
+      if (tails) {
+        ranks.triple = test[idx];
+        StoreRank(tallies[i - first], &ranks.tail_raw, &ranks.tail_filtered);
+      } else {
+        StoreRank(tallies[i - first], &ranks.head_raw, &ranks.head_filtered);
+      }
+    }
+  }
+
+  EntityId Anchor(size_t q) const {
+    const Triple& t = test[order[query_start[q]]];
+    return tails ? t.head : t.tail;
+  }
+
+  RankTally& Tally(size_t q0, size_t i) {
+    return tallies[i - query_start[q0]];
+  }
+
+  // Describes the sweep of `r` unless this shard already holds it. coef/v
+  // may alias model scratch that BuildSweepQuery clobbers, so the spec
+  // points at copies; rows/bias stay put while the relation does.
+  void Describe(RelationId r) {
+    if (described && r == relation) return;
+    described = true;
+    relation = r;
+    spec = SweepSpec{};
+    sweepable = predictor.DescribeSweep(tails, r, &spec) &&
+                spec.kind != SweepKind::kNone;
+    if (!sweepable) return;
+    if (spec.coef != nullptr) {
+      coef.assign(spec.coef, spec.coef + spec.num_rows);
+      spec.coef = coef.data();
+    }
+    if (spec.v != nullptr) {
+      v.assign(spec.v, spec.v + spec.dim);
+      spec.v = v.data();
+    }
+  }
+
+  // Sets s_true of query q's triples (block starting at query q0) and adds
+  // their known-adjacency correction, scoring entities with `score_of`.
+  template <typename ScoreOf>
+  void ScoreTrueAndKnown(size_t q0, size_t q, ScoreOf score_of) {
+    const Triple& lead = test[order[query_start[q]]];
+    const std::span<const EntityId> known =
+        tails ? filter.Tails(lead.head, lead.relation)
+              : filter.Heads(lead.relation, lead.tail);
+    known_scores.resize(known.size());
+    for (size_t k = 0; k < known.size(); ++k) {
+      known_scores[k] = score_of(known[k]);
+    }
+    for (size_t i = query_start[q]; i < query_start[q + 1]; ++i) {
+      RankTally& t = Tally(q0, i);
+      t.s_true = score_of(t.true_entity);
+      for (size_t k = 0; k < known.size(); ++k) {
+        if (known[k] == t.true_entity) continue;
+        t.greater_known += known_scores[k] > t.s_true;
+        t.equal_known += known_scores[k] == t.s_true;
+      }
+    }
+  }
+
+  // Kernel path: build the block's queries, score the true and known
+  // entities one row each, then sweep the table tile by tile and count
+  // each triple's candidates while the tile is hot.
+  void SweepQueries(size_t q0, size_t q1) {
+    const size_t nq = q1 - q0;
+    const size_t qlen = spec.query_len;
+    qbuf.resize(nq * qlen);
+    for (size_t a = 0; a < nq; ++a) {
+      float* q = qbuf.data() + a * qlen;
+      predictor.BuildSweepQuery(tails, relation, Anchor(q0 + a),
+                                std::span<float>(q, qlen));
+      ScoreTrueAndKnown(q0, q0 + a, [&](EntityId e) {
+        float score;
+        SweepRows(spec, q, static_cast<size_t>(e), 1, &score);
+        return score;
+      });
+    }
+    out.resize(kSweepQueryBlock * kSweepTileRows);
+    for (size_t base = 0; base < spec.num_rows; base += kSweepTileRows) {
+      const size_t tile_n = std::min(kSweepTileRows, spec.num_rows - base);
+      SweepBlock(spec, qbuf.data(), qlen, nq, base, tile_n, out.data(),
+                 tile_n);
+      for (size_t a = 0; a < nq; ++a) {
+        float* row = out.data() + a * tile_n;
+        SweepEpilogue(spec, base, tile_n, row);
+        for (size_t i = query_start[q0 + a]; i < query_start[q0 + a + 1];
+             ++i) {
+          CountAbove(row, tile_n, &Tally(q0, i));
+        }
+      }
+    }
+  }
+
+  // Full-vector path for predictors without a kernel sweep (rule models).
+  void ScoreQuery(size_t q0, size_t q) {
+    scores.resize(static_cast<size_t>(predictor.num_entities()));
+    if (tails) {
+      predictor.ScoreTails(Anchor(q), relation, scores);
+    } else {
+      predictor.ScoreHeads(relation, Anchor(q), scores);
+    }
+    ScoreTrueAndKnown(q0, q, [&](EntityId e) {
+      return scores[static_cast<size_t>(e)];
+    });
+    for (size_t i = query_start[q]; i < query_start[q + 1]; ++i) {
+      CountAbove(scores.data(), scores.size(), &Tally(q0, i));
+    }
+  }
+};
 
 }  // namespace
 
@@ -167,11 +252,11 @@ std::vector<TripleRanks> RankTriples(const LinkPredictor& predictor,
 
   // One pass per candidate direction. Each pass sorts the test triples by
   // (relation, anchor) — the anchor is the entity kept fixed by the query —
-  // so every triple sharing a ScoreTails/ScoreHeads query lands in one
-  // contiguous group, and relation runs stay contiguous for per-relation
-  // model caches (TransR). Sharding happens at *group* granularity: a group
-  // is never split across shards, so the hit/miss/eval tallies are a pure
-  // function of the test list, bit-identical for any thread count.
+  // so triples sharing a query are adjacent, then cuts the unique queries
+  // into blocks of at most kSweepQueryBlock of one relation. Blocks are
+  // sharded statically and never split, so ranks and the hit/miss/eval
+  // tallies are a pure function of the test list, bit-identical for any
+  // thread count.
   const auto run_pass = [&](bool tails) {
     std::vector<size_t> order(test.size());
     std::iota(order.begin(), order.end(), size_t{0});
@@ -185,82 +270,38 @@ std::vector<TripleRanks> RankTriples(const LinkPredictor& predictor,
       return anchor(a) < anchor(b);
     });
 
-    // group g spans order[group_start[g], group_start[g + 1]).
-    std::vector<size_t> group_start;
+    // Block b spans unique queries [block_start[b], block_start[b + 1]).
+    std::vector<size_t> query_start;
+    std::vector<size_t> block_start;
     for (size_t i = 0; i < order.size(); ++i) {
-      if (i == 0 || test[order[i]].relation != test[order[i - 1]].relation ||
-          anchor(order[i]) != anchor(order[i - 1])) {
-        group_start.push_back(i);
+      const bool new_relation =
+          i == 0 || test[order[i]].relation != test[order[i - 1]].relation;
+      if (!new_relation && anchor(order[i]) == anchor(order[i - 1])) continue;
+      if (new_relation ||
+          query_start.size() - block_start.back() == kSweepQueryBlock) {
+        block_start.push_back(query_start.size());
       }
+      query_start.push_back(i);
     }
-    group_start.push_back(order.size());
-    const size_t num_groups = group_start.empty() ? 0 : group_start.size() - 1;
+    query_start.push_back(order.size());
+    block_start.push_back(query_start.size() - 1);
+    const size_t num_blocks = block_start.size() - 1;
 
-    // Degenerate score vectors (huge ties) would turn the probe path into a
-    // probe of almost every entity; past this many candidates the marking
-    // sweep is the cheaper resolution. Depends only on the entity count, so
-    // the probe/mark decision is shard-plan independent.
-    const size_t candidate_cap = std::max<size_t>(1024, num_entities / 16);
-
-    ParallelFor(num_groups, options.threads,
-                [&](size_t gbegin, size_t gend, int /*shard*/) {
+    ParallelFor(num_blocks, options.threads,
+                [&](size_t bbegin, size_t bend, int /*shard*/) {
       Stopwatch shard_watch;
-      std::vector<float> scores(num_entities);
-      std::vector<uint32_t> known_mark(num_entities, 0);
-      ProbeScratch probe_scratch;
-      size_t evals = 0;
-      size_t hits = 0;
-      size_t misses = 0;
-      size_t ranked = 0;
-      for (size_t g = gbegin; g < gend; ++g) {
-        const size_t first = group_start[g];
-        const size_t last = group_start[g + 1];
-        // The known-correct adjacency is constant across the group (it is
-        // keyed by the group's (relation, anchor)), as is whether the probe
-        // path may serve it: duplicate known facts must count multiply
-        // toward the filtered rank, which only the marking sweep does.
-        const Triple& lead = test[order[first]];
-        const std::span<const EntityId> known =
-            tails ? filter.Tails(lead.head, lead.relation)
-                  : filter.Heads(lead.relation, lead.tail);
-        const bool probe_eligible =
-            options.probe_filter && !HasAdjacentDuplicates(known);
-        for (size_t i = first; i < last; ++i) {
-          const size_t idx = order[i];
-          const Triple& triple = test[idx];
-          // The first triple of a group fills the score buffer; later ones
-          // reuse it (a cache hit) unless dedup is off, in which case every
-          // triple re-sweeps — producing the same bits either way.
-          if (!options.dedup_queries || i == first) {
-            if (tails) {
-              predictor.ScoreTails(triple.head, triple.relation, scores);
-            } else {
-              predictor.ScoreHeads(triple.relation, triple.tail, scores);
-            }
-            evals += num_entities;
-            ++misses;
-          } else {
-            ++hits;
-          }
-          TripleRanks& out = results[idx];
-          const EntityId true_entity = tails ? triple.tail : triple.head;
-          double* raw = tails ? &out.tail_raw : &out.head_raw;
-          double* filtered = tails ? &out.tail_filtered : &out.head_filtered;
-          if (tails) out.triple = triple;
-          if (!probe_eligible ||
-              !ComputeRankByProbe(scores, true_entity, filter, triple, tails,
-                                  candidate_cap, probe_scratch, raw,
-                                  filtered)) {
-            ComputeRank(scores, true_entity, known, known_mark, raw,
-                        filtered);
-          }
-          ++ranked;
-        }
+      BlockRanker ranker(predictor, filter, test, order, query_start, tails,
+                         results);
+      for (size_t b = bbegin; b < bend; ++b) {
+        ranker.RankBlock(block_start[b], block_start[b + 1]);
       }
+      const size_t queries = block_start[bend] - block_start[bbegin];
+      const size_t ranked =
+          query_start[block_start[bend]] - query_start[block_start[bbegin]];
       if (tails) triples_ranked.Add(ranked);
-      score_evals.Add(evals);
-      query_hits.Add(hits);
-      query_misses.Add(misses);
+      score_evals.Add(queries * num_entities);
+      query_hits.Add(ranked - queries);
+      query_misses.Add(queries);
       shard_seconds.Observe(shard_watch.ElapsedSeconds());
     });
   };

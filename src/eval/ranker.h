@@ -24,32 +24,23 @@ struct RankerOptions {
   /// Worker threads for the ranking sweep (0 = KGC_THREADS / hardware
   /// default; see util/parallel.h). Results are bit-identical for any value.
   int threads = 0;
-  /// Score each unique (head, relation) / (relation, tail) query once and
-  /// reuse the score buffer for every test triple that shares it. Ranks are
-  /// bit-identical with dedup on or off — the reused buffer is the same one
-  /// a fresh sweep would produce — so this only trades memory locality for
-  /// skipped sweeps on duplicate-heavy test sets.
-  bool dedup_queries = true;
-  /// Resolve the filtered rank by batch-probing the filter store's flat
-  /// membership set for the candidates that outscore (or tie) the true
-  /// entity, instead of marking the known-correct list in an
-  /// entities-sized scratch array. At million-entity scale this keeps the
-  /// sweep out of a second multi-megabyte array and overlaps the probe
-  /// cache misses via software prefetch. Ranks are bit-identical on or off:
-  /// the probe path only runs when the candidate list is duplicate-free
-  /// (duplicate known facts must count multiply, which only marking does)
-  /// and small enough; otherwise the triple falls back to marking.
-  bool probe_filter = true;
 };
 
 /// Ranks every triple of `test` under `predictor`. Results align with the
 /// order of `test`. The sweep runs in two passes (tail candidates, then head
 /// candidates), each sorted by (relation, anchor entity) so that triples
 /// sharing a query are adjacent and per-relation model caches (TransR)
-/// amortize their projections. Work is statically sharded across threads at
-/// query-group granularity — a group is never split — so ranks *and* all
-/// telemetry counters (score_evals, query_cache_hits/misses) are
-/// bit-identical for any thread count and for dedup on vs off.
+/// amortize their projections. The unique queries are cut into blocks of
+/// at most kSweepQueryBlock of one relation (link_predictor.h) and swept
+/// through SweepBlock tile by tile; each triple's rank is counted against
+/// its true entity's score while the tile is hot, so no per-query score
+/// vector exists. The true and known-fact scores come from one-row
+/// SweepRows calls, which reproduce the sweep's bits; known facts count
+/// with the multiplicity the filter store lists them. Predictors without a
+/// kernel sweep (rule models) are counted over their full Score* vector.
+/// Blocks are statically sharded across threads and never split, so ranks
+/// *and* all telemetry counters (score_evals, query_cache_hits/misses) are
+/// bit-identical for any thread count and either kernel path.
 std::vector<TripleRanks> RankTriples(const LinkPredictor& predictor,
                                      const Dataset& dataset,
                                      const TripleList& test,

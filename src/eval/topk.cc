@@ -14,7 +14,6 @@
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/parallel.h"
-#include "util/vecmath.h"
 
 namespace kgc {
 namespace {
@@ -85,46 +84,6 @@ class BoundedHeap {
   size_t k_;
   std::vector<TopKEntry> entries_;
 };
-
-// Dispatches one blocked kernel call: `num_q` queries against candidate
-// rows [first, first + count) of `spec`.
-void SweepBlock(const SweepSpec& spec, const float* qs, size_t q_stride,
-                size_t num_q, size_t first, size_t count, float* out,
-                size_t out_stride) {
-  const auto& ops = vec::Ops();
-  const float* rows = spec.rows + first * spec.stride;
-  const float* coef = spec.coef != nullptr ? spec.coef + first : nullptr;
-  switch (spec.kind) {
-    case SweepKind::kDot:
-      ops.dot_rows_block(qs, q_stride, num_q, rows, count, spec.stride,
-                         spec.dim, out, out_stride);
-      break;
-    case SweepKind::kL1:
-      ops.l1_rows_block(qs, q_stride, num_q, rows, count, spec.stride,
-                        spec.dim, out, out_stride);
-      break;
-    case SweepKind::kL2:
-      ops.l2_rows_block(qs, q_stride, num_q, rows, count, spec.stride,
-                        spec.dim, out, out_stride);
-      break;
-    case SweepKind::kL1Offset:
-      ops.l1_offset_rows_block(qs, q_stride, num_q, spec.v, coef,
-                               spec.coef_scale, rows, count, spec.stride,
-                               spec.dim, out, out_stride);
-      break;
-    case SweepKind::kL2Offset:
-      ops.l2_offset_rows_block(qs, q_stride, num_q, spec.v, coef,
-                               spec.coef_scale, rows, count, spec.stride,
-                               spec.dim, out, out_stride);
-      break;
-    case SweepKind::kCabs:
-      ops.cabs_rows_block(qs, q_stride, num_q, rows, count, spec.stride,
-                          spec.dim, out, out_stride);
-      break;
-    case SweepKind::kNone:
-      break;
-  }
-}
 
 inline uint64_t FilterKey(bool tails, RelationId r, EntityId anchor,
                           EntityId candidate) {

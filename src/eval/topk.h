@@ -39,9 +39,9 @@ struct TopKOptions {
   /// scores) for every query inside Run. Expensive: runs the full sweep.
   bool cross_check = false;
   /// Queries scored per blocked kernel call.
-  int query_block = 8;
+  int query_block = static_cast<int>(kSweepQueryBlock);
   /// Entity rows per tile.
-  int tile_rows = 256;
+  int tile_rows = static_cast<int>(kSweepTileRows);
   /// Worker threads (0 = KGC_THREADS / hardware default). Results and
   /// kgc.topk.* counters are bit-identical for any value.
   int threads = 0;

@@ -35,6 +35,44 @@ void SweepRows(const SweepSpec& spec, const float* q, size_t first,
   SweepEpilogue(spec, first, count, out);
 }
 
+void SweepBlock(const SweepSpec& spec, const float* qs, size_t q_stride,
+                size_t num_q, size_t first, size_t count, float* out,
+                size_t out_stride) {
+  const auto& ops = vec::Ops();
+  const float* rows = spec.rows + first * spec.stride;
+  const float* coef = spec.coef != nullptr ? spec.coef + first : nullptr;
+  switch (spec.kind) {
+    case SweepKind::kDot:
+      ops.dot_rows_block(qs, q_stride, num_q, rows, count, spec.stride,
+                         spec.dim, out, out_stride);
+      break;
+    case SweepKind::kL1:
+      ops.l1_rows_block(qs, q_stride, num_q, rows, count, spec.stride,
+                        spec.dim, out, out_stride);
+      break;
+    case SweepKind::kL2:
+      ops.l2_rows_block(qs, q_stride, num_q, rows, count, spec.stride,
+                        spec.dim, out, out_stride);
+      break;
+    case SweepKind::kL1Offset:
+      ops.l1_offset_rows_block(qs, q_stride, num_q, spec.v, coef,
+                               spec.coef_scale, rows, count, spec.stride,
+                               spec.dim, out, out_stride);
+      break;
+    case SweepKind::kL2Offset:
+      ops.l2_offset_rows_block(qs, q_stride, num_q, spec.v, coef,
+                               spec.coef_scale, rows, count, spec.stride,
+                               spec.dim, out, out_stride);
+      break;
+    case SweepKind::kCabs:
+      ops.cabs_rows_block(qs, q_stride, num_q, rows, count, spec.stride,
+                          spec.dim, out, out_stride);
+      break;
+    case SweepKind::kNone:
+      break;
+  }
+}
+
 void SweepEpilogue(const SweepSpec& spec, size_t first, size_t count,
                    float* out) {
   if (spec.bias != nullptr) {

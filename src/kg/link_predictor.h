@@ -15,9 +15,10 @@
 namespace kgc {
 
 /// The per-(query, row) kernel shape a model's sweep reduces to. Embedding
-/// models' ScoreTails/ScoreHeads (SweepRows) and the top-K engine
-/// (eval/topk.h, blocked kernels) share the per-row reduction and
-/// SweepEpilogue, so the two agree bit for bit.
+/// models' ScoreTails/ScoreHeads (SweepRows) and the blocked executors —
+/// the top-K engine (eval/topk.h) and the ranker (eval/ranker.h), both
+/// through SweepBlock — share the per-row reduction and SweepEpilogue, so
+/// they agree bit for bit.
 enum class SweepKind {
   kNone = 0,   // no kernel sweep; the predictor implements Score* itself
   kDot,        // score = dot(q, row) (+ optional per-row bias)
@@ -55,11 +56,26 @@ struct SweepSpec {
 void SweepRows(const SweepSpec& spec, const float* q, size_t first,
                size_t count, float* out);
 
+/// Blocked multi-query sweep: raw kernel values of `num_q` queries (qs
+/// walks q_stride floats per query) against candidate rows [first, first +
+/// count) of `spec`, written to out[qi * out_stride + i] through the
+/// *_rows_block kernel of spec.kind. Bit-exact against SweepRows per
+/// (query, row) once SweepEpilogue is applied to each query's row.
+void SweepBlock(const SweepSpec& spec, const float* qs, size_t q_stride,
+                size_t num_q, size_t first, size_t count, float* out,
+                size_t out_stride);
+
 /// Turns raw kernel values of rows [first, first + count) into scores in
 /// place: += bias[e], then negate for distances. SweepRows applies it; the
-/// top-K engine applies it to its blocked kernel output.
+/// blocked executors apply it to each query's row of SweepBlock output.
 void SweepEpilogue(const SweepSpec& spec, size_t first, size_t count,
                    float* out);
+
+/// The blocked executors' shape: queries per SweepBlock call and candidate
+/// rows per tile (8 × 256 floats of output stay cache-resident while they
+/// are consumed).
+inline constexpr size_t kSweepQueryBlock = 8;
+inline constexpr size_t kSweepTileRows = 256;
 
 class LinkPredictor {
  public:

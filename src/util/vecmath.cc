@@ -26,11 +26,14 @@ bool CpuSupportsNative() {
 #endif
 }
 
+const KernelOps* DefaultOps() {
+  return NativeKernelsAvailable() ? GetNativeOpsImpl() : GetGenericOpsImpl();
+}
+
 const KernelOps* ResolveFromEnv() {
   const char* env = std::getenv("KGC_KERNEL");
-  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "generic") == 0) {
-    return GetGenericOpsImpl();
-  }
+  if (env == nullptr || env[0] == '\0') return DefaultOps();
+  if (std::strcmp(env, "generic") == 0) return GetGenericOpsImpl();
   if (std::strcmp(env, "native") == 0) {
     if (NativeKernelsAvailable()) return GetNativeOpsImpl();
     std::fprintf(stderr,
@@ -38,11 +41,12 @@ const KernelOps* ResolveFromEnv() {
                  "unavailable on this build/CPU; using generic kernels\n");
     return GetGenericOpsImpl();
   }
+  const KernelOps* ops = DefaultOps();
   std::fprintf(stderr,
                "[kgc] unknown KGC_KERNEL value \"%s\" (expected \"generic\" "
-               "or \"native\"); using generic kernels\n",
-               env);
-  return GetGenericOpsImpl();
+               "or \"native\"); using %s kernels\n",
+               env, ops->name);
+  return ops;
 }
 
 std::atomic<const KernelOps*> g_active{nullptr};
@@ -71,6 +75,11 @@ const KernelOps& OpsFor(KernelPath path) {
   return *GetGenericOpsImpl();
 }
 
+KernelPath ActiveKernelPath() {
+  return &Ops() == GetNativeOpsImpl() ? KernelPath::kNative
+                                      : KernelPath::kGeneric;
+}
+
 void SetKernelPathForTest(KernelPath path) {
   g_active.store(&OpsFor(path), std::memory_order_release);
 }
@@ -80,6 +89,12 @@ std::span<float> GetScratch(size_t n, int slot) {
   AlignedVector<float>& buf = buffers[slot];
   if (buf.size() < n) buf.resize(n);
   return {buf.data(), n};
+}
+
+double* GetKernelScratch(size_t n) {
+  static thread_local AlignedVector<double> buffer;
+  if (buffer.size() < n) buffer.resize(n);
+  return buffer.data();
 }
 
 }  // namespace kgc::vec

@@ -227,9 +227,8 @@ TEST(DeterminismTest, CountersBitIdenticalAcrossThreadCounts) {
         << " differs between 1 and 4 threads";
   }
   // And the work counters actually counted something. score_evals counts
-  // the sweeps the query-deduplicated ranker actually performed: one per
-  // unique (relation, head) tail query plus one per unique (relation, tail)
-  // head query, each over num_entities candidates.
+  // one sweep per unique (relation, head) tail query plus one per unique
+  // (relation, tail) head query, each over num_entities candidates.
   std::set<std::pair<RelationId, EntityId>> tail_queries;
   std::set<std::pair<RelationId, EntityId>> head_queries;
   for (const Triple& t : kg.dataset.test()) {

@@ -5,16 +5,21 @@
 // count. These tests pin that contract for the three refactored layers —
 // ranking, redundancy detection and rule mining — by running each at
 // threads=1 and threads=4 (and an uneven 3) and comparing outputs field by
-// field, plus edge cases of the primitive itself.
+// field, plus edge cases of the primitive itself. Ranking is also checked
+// against a brute-force rank oracle for every model and both kernel paths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "eval/ranker.h"
 #include "kg/dataset.h"
+#include "models/model.h"
 #include "obs/metrics.h"
 #include "redundancy/detectors.h"
 #include "redundancy/leakage.h"
@@ -23,6 +28,7 @@
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
+#include "util/vecmath.h"
 
 namespace kgc {
 namespace {
@@ -265,125 +271,116 @@ TEST(ParallelDeterminismTest, RankTriplesIsThreadCountInvariant) {
   }
 }
 
-TEST(ParallelDeterminismTest, QueryDedupIsBitIdenticalAcrossThreadCounts) {
-  // A duplicate-heavy test split: few anchors and relations, so most test
-  // triples share a ScoreTails/ScoreHeads query with an earlier one. The
-  // deduplicated sweep must reproduce the non-deduplicated ranks bit for
-  // bit, at every thread count.
-  const int32_t num_entities = 25;
+/// Scores every candidate 0, through a kernel sweep (a dot product against
+/// an all-zero table) when `sweep` is set, else through Score* only — the
+/// fully tied case on both ranking paths.
+class TiedPredictor final : public LinkPredictor {
+ public:
+  TiedPredictor(int32_t num_entities, bool sweep)
+      : num_entities_(num_entities),
+        sweep_(sweep),
+        rows_(static_cast<size_t>(num_entities) * kDim, 0.0f) {}
+  const char* name() const override { return "Tied"; }
+  int32_t num_entities() const override { return num_entities_; }
+  void ScoreTails(EntityId, RelationId, std::span<float> out) const override {
+    std::fill(out.begin(), out.end(), 0.0f);
+  }
+  void ScoreHeads(RelationId, EntityId, std::span<float> out) const override {
+    std::fill(out.begin(), out.end(), 0.0f);
+  }
+  bool DescribeSweep(bool, RelationId, SweepSpec* spec) const override {
+    if (!sweep_) return false;
+    spec->kind = SweepKind::kDot;
+    spec->rows = rows_.data();
+    spec->num_rows = static_cast<size_t>(num_entities_);
+    spec->stride = kDim;
+    spec->dim = kDim;
+    spec->query_len = kDim;
+    return true;
+  }
+  void BuildSweepQuery(bool, RelationId, EntityId,
+                       std::span<float> q) const override {
+    std::fill(q.begin(), q.end(), 1.0f);
+  }
+
+ private:
+  static constexpr size_t kDim = 4;
+  int32_t num_entities_;
+  bool sweep_;
+  std::vector<float> rows_;
+};
+
+TEST(ParallelDeterminismTest, RankTriplesMatchesNaiveOracle) {
+  // More entities than one sweep tile, more unique anchors per relation
+  // than one query block, test triples that share anchors, and duplicated
+  // train facts (which count multiply toward the filtered rank).
+  const int32_t num_entities = 300;
+  const int32_t num_relations = 3;
   Vocab vocab;
   for (int32_t i = 0; i < num_entities; ++i) {
     vocab.InternEntity(StrFormat("e%d", i));
   }
-  for (int r = 0; r < 2; ++r) vocab.InternRelation(StrFormat("r%d", r));
-  TripleList train;
-  TripleList test;
-  for (EntityId h = 0; h < 3; ++h) {
-    for (RelationId r = 0; r < 2; ++r) {
-      for (EntityId t = 5; t < 15; ++t) {
-        ((h + static_cast<int>(r) + t) % 4 == 0 ? train : test)
-            .push_back({h, r, t});
-      }
-    }
+  for (int r = 0; r < num_relations; ++r) {
+    vocab.InternRelation(StrFormat("r%d", r));
   }
-  const Dataset dataset("dup", std::move(vocab), std::move(train), {},
-                        std::move(test));
-  const HashPredictor predictor(num_entities);
-
-  RankerOptions baseline_options;
-  baseline_options.threads = 1;
-  baseline_options.dedup_queries = false;
-  const auto baseline =
-      RankTriples(predictor, dataset, dataset.test(), baseline_options);
-  ASSERT_FALSE(baseline.empty());
-  for (bool dedup : {false, true}) {
-    for (int threads : {1, 2, 4}) {
-      RankerOptions options;
-      options.threads = threads;
-      options.dedup_queries = dedup;
-      ExpectSameRanks(
-          baseline, RankTriples(predictor, dataset, dataset.test(), options));
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, ProbeFilterIsBitIdenticalAcrossThreadCounts) {
-  // Mixed-eligibility workload: relation 0 carries duplicate train triples,
-  // so its query groups must fall back to the marking sweep (duplicates
-  // count multiply toward the filtered rank), while relation 1 is clean and
-  // takes the batched flat-set probe path. Ranks — and the probe hit/miss
-  // counters — must be bit-identical for probe on/off and every thread
-  // count.
-  const int32_t num_entities = 30;
-  Vocab vocab;
-  for (int32_t i = 0; i < num_entities; ++i) {
-    vocab.InternEntity(StrFormat("e%d", i));
-  }
-  for (int r = 0; r < 2; ++r) vocab.InternRelation(StrFormat("r%d", r));
   Rng rng(11);
   TripleList train;
   TripleList test;
-  for (int i = 0; i < 120; ++i) {
-    Triple t{static_cast<EntityId>(rng.Uniform(num_entities)),
-             static_cast<RelationId>(rng.Uniform(2)),
+  for (int i = 0; i < 900; ++i) {
+    // Anchors drawn from a small pool so queries and known spans repeat.
+    Triple t{static_cast<EntityId>(rng.Uniform(40)),
+             static_cast<RelationId>(rng.Uniform(num_relations)),
              static_cast<EntityId>(rng.Uniform(num_entities))};
-    if (i % 4 == 0) {
+    if (i % 2 != 0) std::swap(t.head, t.tail);
+    if (i % 6 == 0) {
       test.push_back(t);
     } else {
       train.push_back(t);
-      // Every third relation-0 train triple is stored twice.
-      if (t.relation == 0 && i % 3 == 0) train.push_back(t);
+      if (i % 5 == 0) train.push_back(t);
     }
   }
-  const Dataset dataset("probe", std::move(vocab), std::move(train), {},
+  const Dataset dataset("oracle", std::move(vocab), std::move(train), {},
                         std::move(test));
-  const HashPredictor predictor(num_entities);
 
-  obs::Counter& probe_hits =
-      obs::Registry::Get().GetCounter(obs::kStoreProbeBatchHits);
-  obs::Counter& probe_misses =
-      obs::Registry::Get().GetCounter(obs::kStoreProbeBatchMisses);
+  std::vector<std::unique_ptr<LinkPredictor>> predictors;
+  for (int m = 0; m <= 9; ++m) {
+    const auto type = static_cast<ModelType>(m);
+    ModelHyperParams params = DefaultHyperParams(type);
+    params.dim = 16;
+    params.dim2 = 4;
+    predictors.push_back(
+        CreateModel(type, num_entities, num_relations, params));
+  }
+  predictors.push_back(std::make_unique<HashPredictor>(num_entities));
+  predictors.push_back(std::make_unique<TiedPredictor>(num_entities, true));
+  predictors.push_back(std::make_unique<TiedPredictor>(num_entities, false));
 
-  RankerOptions marking;
-  marking.threads = 1;
-  marking.probe_filter = false;
-  const auto baseline =
-      RankTriples(predictor, dataset, dataset.test(), marking);
-  ASSERT_FALSE(baseline.empty());
-
-  uint64_t expected_hits_delta = 0;
-  uint64_t expected_misses_delta = 0;
-  bool first_probe_run = true;
-  for (bool probe : {false, true}) {
-    for (int threads : {1, 2, 4}) {
-      RankerOptions options;
-      options.threads = threads;
-      options.probe_filter = probe;
-      const uint64_t hits_before = probe_hits.value();
-      const uint64_t misses_before = probe_misses.value();
-      ExpectSameRanks(
-          baseline, RankTriples(predictor, dataset, dataset.test(), options));
-      const uint64_t hits_delta = probe_hits.value() - hits_before;
-      const uint64_t misses_delta = probe_misses.value() - misses_before;
-      if (!probe) {
-        // The marking path never touches the flat-set probe counters.
-        EXPECT_EQ(hits_delta, 0u);
-        EXPECT_EQ(misses_delta, 0u);
-      } else if (first_probe_run) {
-        // The clean relation must actually exercise the probe path,
-        // otherwise the on/off comparison is vacuous.
-        EXPECT_GT(hits_delta + misses_delta, 0u);
-        expected_hits_delta = hits_delta;
-        expected_misses_delta = misses_delta;
-        first_probe_run = false;
-      } else {
-        // Probe traffic is a pure function of the test list — identical for
-        // every thread count.
-        EXPECT_EQ(hits_delta, expected_hits_delta) << threads;
-        EXPECT_EQ(misses_delta, expected_misses_delta) << threads;
+  std::vector<vec::KernelPath> paths = {vec::KernelPath::kGeneric};
+  if (vec::NativeKernelsAvailable()) paths.push_back(vec::KernelPath::kNative);
+  const vec::KernelPath saved_path = vec::ActiveKernelPath();
+  for (const auto& predictor : predictors) {
+    SCOPED_TRACE(predictor->name());
+    const auto oracle = bench::NaiveRankTriples(
+        *predictor, dataset.all_store(), dataset.test());
+    size_t filtered_moves = 0;
+    for (const TripleRanks& r : oracle) {
+      filtered_moves += r.tail_filtered != r.tail_raw;
+      filtered_moves += r.head_filtered != r.head_raw;
+    }
+    // The known-fact correction must actually fire.
+    EXPECT_GT(filtered_moves, 0u);
+    for (vec::KernelPath path : paths) {
+      vec::SetKernelPathForTest(path);
+      for (int threads : {1, 2, 3, 4}) {
+        SCOPED_TRACE(StrFormat("%s threads=%d", vec::Ops().name, threads));
+        RankerOptions options;
+        options.threads = threads;
+        ExpectSameRanks(oracle, RankTriples(*predictor, dataset,
+                                            dataset.test(), options));
       }
     }
   }
+  vec::SetKernelPathForTest(saved_path);
 }
 
 TEST(ParallelDeterminismTest, RankTriplesHandlesEmptyTestSplit) {

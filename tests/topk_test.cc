@@ -177,11 +177,12 @@ TEST_P(TopKModelTest, KernelPathInvariance) {
   options.tile_rows = 32;
   const TopKEngine engine(*model, options);
 
+  const vec::KernelPath saved_path = vec::ActiveKernelPath();
   vec::SetKernelPathForTest(vec::KernelPath::kGeneric);
   const auto generic = engine.Run(queries, &filter);
   vec::SetKernelPathForTest(vec::KernelPath::kNative);
   const auto native = engine.Run(queries, &filter);
-  vec::SetKernelPathForTest(vec::KernelPath::kGeneric);
+  vec::SetKernelPathForTest(saved_path);
   ExpectResultsEqual(native, generic, "kernel path");
 }
 

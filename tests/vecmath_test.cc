@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "util/aligned.h"
@@ -262,9 +264,11 @@ TEST(VecMathTest, UpdateRowsMatchReferenceBitExactly) {
 }
 
 // The blocked multi-query sweeps promise the exact bits of the single-query
-// kernels for every (query, row) pair — the top-K engine's equivalence with
-// the full ranking sweep rests on it — so compare with EXPECT_EQ, on both
-// dispatch paths, including strided rows and a padded out_stride.
+// kernels for every (query, row) pair — the top-K engine's and the ranker's
+// equivalence with the full ranking sweep rests on it — so compare with
+// EXPECT_EQ, on both dispatch paths, over dims around the reduction width
+// and block sizes below, at and above the executors' query block, with
+// strided queries and rows and a padded out_stride.
 TEST(VecMathTest, BlockSweepsMatchSingleQueryBitExactly) {
   Rng rng(12);
   std::vector<const vec::KernelOps*> paths = {
@@ -272,83 +276,89 @@ TEST(VecMathTest, BlockSweepsMatchSingleQueryBitExactly) {
   if (vec::NativeKernelsAvailable()) {
     paths.push_back(&vec::OpsFor(vec::KernelPath::kNative));
   }
+  const size_t kBlockDims[] = {1, 7, 8, 9, 31, 32, 33, 64, 200};
+  const size_t num_rows = 11;
+  const size_t out_stride = num_rows + 2;
   for (const vec::KernelOps* ops : paths) {
-    for (size_t dim : kDims) {
-      const size_t num_rows = 11;
-      const size_t num_q = 5;
-      const size_t stride = dim + 3;  // strided candidate table
-      const size_t out_stride = num_rows + 2;
-      const auto qs = RandomVector(rng, num_q * dim);
-      const auto rows = RandomVector(rng, num_rows * stride);
-      const auto v = RandomVector(rng, dim);
-      const auto coef = RandomVector(rng, num_rows);
-      std::vector<float> block(num_q * out_stride);
-      std::vector<float> single(num_rows);
+    for (size_t dim : kBlockDims) {
+      for (size_t num_q : {1, 3, 8, 17}) {
+        const size_t stride = dim + 3;    // strided candidate table
+        const size_t q_stride = dim + 1;  // strided query block
+        const auto qs = RandomVector(rng, num_q * q_stride);
+        const auto rows = RandomVector(rng, num_rows * stride);
+        const auto v = RandomVector(rng, dim);
+        const auto coef = RandomVector(rng, num_rows);
+        std::vector<float> block(num_q * out_stride);
+        std::vector<float> single(num_rows);
 
-      const auto per_query = [&](auto&& fill_single) {
-        for (size_t qi = 0; qi < num_q; ++qi) {
-          fill_single(qs.data() + qi * dim);
-          for (size_t i = 0; i < num_rows; ++i) {
-            EXPECT_EQ(block[qi * out_stride + i], single[i])
-                << ops->name << " dim=" << dim << " q=" << qi << " row=" << i;
+        const auto per_query = [&](const char* kind, size_t qs_stride,
+                                   auto&& fill_single) {
+          for (size_t qi = 0; qi < num_q; ++qi) {
+            fill_single(qi * qs_stride);
+            for (size_t i = 0; i < num_rows; ++i) {
+              EXPECT_EQ(block[qi * out_stride + i], single[i])
+                  << ops->name << " " << kind << " dim=" << dim
+                  << " num_q=" << num_q << " q=" << qi << " row=" << i;
+            }
           }
-        }
-      };
+        };
 
-      ops->dot_rows_block(qs.data(), dim, num_q, rows.data(), num_rows,
-                          stride, dim, block.data(), out_stride);
-      per_query([&](const float* q) {
-        ops->dot_rows(q, rows.data(), num_rows, stride, dim, single.data());
-      });
-
-      ops->l1_rows_block(qs.data(), dim, num_q, rows.data(), num_rows, stride,
-                         dim, block.data(), out_stride);
-      per_query([&](const float* q) {
-        ops->l1_rows(q, rows.data(), num_rows, stride, dim, single.data());
-      });
-
-      ops->l2_rows_block(qs.data(), dim, num_q, rows.data(), num_rows, stride,
-                         dim, block.data(), out_stride);
-      per_query([&](const float* q) {
-        ops->l2_rows(q, rows.data(), num_rows, stride, dim, single.data());
-      });
-
-      for (float coef_scale : {1.0f, -1.0f}) {
-        ops->l1_offset_rows_block(qs.data(), dim, num_q, v.data(),
-                                  coef.data(), coef_scale, rows.data(),
-                                  num_rows, stride, dim, block.data(),
-                                  out_stride);
-        per_query([&](const float* q) {
-          ops->l1_offset_rows(q, v.data(), coef.data(), coef_scale,
-                              rows.data(), num_rows, stride, dim,
-                              single.data());
+        ops->dot_rows_block(qs.data(), q_stride, num_q, rows.data(),
+                            num_rows, stride, dim, block.data(), out_stride);
+        per_query("dot", q_stride, [&](size_t q) {
+          ops->dot_rows(qs.data() + q, rows.data(), num_rows, stride, dim,
+                        single.data());
         });
-        ops->l2_offset_rows_block(qs.data(), dim, num_q, v.data(),
-                                  coef.data(), coef_scale, rows.data(),
-                                  num_rows, stride, dim, block.data(),
-                                  out_stride);
-        per_query([&](const float* q) {
-          ops->l2_offset_rows(q, v.data(), coef.data(), coef_scale,
-                              rows.data(), num_rows, stride, dim,
-                              single.data());
-        });
-      }
 
-      // cabs uses the split re/im layout: dim here is half_dim and each
-      // query/row occupies 2 * half_dim floats.
-      const size_t half = dim;
-      const size_t cstride = 2 * half + 1;
-      const auto cqs = RandomVector(rng, num_q * 2 * half);
-      const auto crows = RandomVector(rng, num_rows * cstride);
-      ops->cabs_rows_block(cqs.data(), 2 * half, num_q, crows.data(),
-                           num_rows, cstride, half, block.data(), out_stride);
-      for (size_t qi = 0; qi < num_q; ++qi) {
-        ops->cabs_rows(cqs.data() + qi * 2 * half, crows.data(), num_rows,
-                       cstride, half, single.data());
-        for (size_t i = 0; i < num_rows; ++i) {
-          EXPECT_EQ(block[qi * out_stride + i], single[i])
-              << ops->name << " cabs half=" << half << " q=" << qi;
+        ops->l1_rows_block(qs.data(), q_stride, num_q, rows.data(), num_rows,
+                           stride, dim, block.data(), out_stride);
+        per_query("l1", q_stride, [&](size_t q) {
+          ops->l1_rows(qs.data() + q, rows.data(), num_rows, stride, dim,
+                       single.data());
+        });
+
+        ops->l2_rows_block(qs.data(), q_stride, num_q, rows.data(), num_rows,
+                           stride, dim, block.data(), out_stride);
+        per_query("l2", q_stride, [&](size_t q) {
+          ops->l2_rows(qs.data() + q, rows.data(), num_rows, stride, dim,
+                       single.data());
+        });
+
+        for (float coef_scale : {1.0f, -1.0f}) {
+          ops->l1_offset_rows_block(qs.data(), q_stride, num_q, v.data(),
+                                    coef.data(), coef_scale, rows.data(),
+                                    num_rows, stride, dim, block.data(),
+                                    out_stride);
+          per_query("l1_offset", q_stride, [&](size_t q) {
+            ops->l1_offset_rows(qs.data() + q, v.data(), coef.data(),
+                                coef_scale, rows.data(), num_rows, stride,
+                                dim, single.data());
+          });
+          ops->l2_offset_rows_block(qs.data(), q_stride, num_q, v.data(),
+                                    coef.data(), coef_scale, rows.data(),
+                                    num_rows, stride, dim, block.data(),
+                                    out_stride);
+          per_query("l2_offset", q_stride, [&](size_t q) {
+            ops->l2_offset_rows(qs.data() + q, v.data(), coef.data(),
+                                coef_scale, rows.data(), num_rows, stride,
+                                dim, single.data());
+          });
         }
+
+        // cabs uses the split re/im layout: dim here is half_dim and each
+        // query/row occupies 2 * half_dim floats.
+        const size_t half = dim;
+        const size_t cq_stride = 2 * half + 1;
+        const size_t cstride = 2 * half + 3;
+        const auto cqs = RandomVector(rng, num_q * cq_stride);
+        const auto crows = RandomVector(rng, num_rows * cstride);
+        ops->cabs_rows_block(cqs.data(), cq_stride, num_q, crows.data(),
+                             num_rows, cstride, half, block.data(),
+                             out_stride);
+        per_query("cabs", cq_stride, [&](size_t q) {
+          ops->cabs_rows(cqs.data() + q, crows.data(), num_rows, cstride,
+                         half, single.data());
+        });
       }
     }
   }
@@ -438,6 +448,19 @@ TEST(VecMathDispatchTest, GenericAndNativePathsAgreeBitExactly) {
       EXPECT_EQ(acc_g[j], acc_n[j]);
     }
   }
+}
+
+// Native is the default wherever this CPU runs it; KGC_KERNEL=generic is
+// the one way to force the baseline path.
+TEST(VecMathDispatchTest, DefaultsToNativeWhenAvailable) {
+  const char* env = std::getenv("KGC_KERNEL");
+  const bool force_generic = env != nullptr && std::strcmp(env, "generic") == 0;
+  const vec::KernelPath expected =
+      !force_generic && vec::NativeKernelsAvailable()
+          ? vec::KernelPath::kNative
+          : vec::KernelPath::kGeneric;
+  EXPECT_EQ(vec::ActiveKernelPath(), expected);
+  EXPECT_EQ(&vec::Ops(), &vec::OpsFor(expected));
 }
 
 TEST(VecMathDispatchTest, OpsForFallsBackWhenNativeUnavailable) {
