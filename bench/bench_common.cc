@@ -1,9 +1,13 @@
 #include "bench/bench_common.h"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "obs/exporter.h"
 #include "obs/metrics.h"
@@ -310,6 +314,114 @@ std::vector<TripleRanks> NaiveRankTriples(const LinkPredictor& predictor,
               &ranks[i].head_raw, &ranks[i].head_filtered);
   }
   return ranks;
+}
+
+std::vector<Rule> NaiveMineRules(const TripleStore& train,
+                                 const AmieOptions& options) {
+  using Pair = std::pair<EntityId, EntityId>;
+  const size_t num_relations = static_cast<size_t>(train.num_relations());
+  const size_t num_entities = static_cast<size_t>(train.num_entities());
+  std::map<std::tuple<EntityId, RelationId, EntityId>, size_t> multiplicity;
+  std::vector<std::set<Pair>> pairs(num_relations);
+  std::vector<std::set<EntityId>> subjects(num_relations);
+  std::vector<size_t> relation_size(num_relations, 0);
+  std::vector<uint64_t> in_degree(num_entities, 0);
+  std::vector<std::vector<std::pair<RelationId, EntityId>>> out_edges(
+      num_entities);
+  for (const Triple& t : train.triples()) {
+    const size_t r = static_cast<size_t>(t.relation);
+    ++multiplicity[{t.head, t.relation, t.tail}];
+    pairs[r].insert({t.head, t.tail});
+    subjects[r].insert(t.head);
+    ++relation_size[r];
+    ++in_degree[static_cast<size_t>(t.tail)];
+    out_edges[static_cast<size_t>(t.head)].push_back({t.relation, t.tail});
+  }
+
+  std::vector<bool> eligible(num_entities, false);
+  uint64_t admitted = 0;
+  for (size_t z = 0; z < num_entities; ++z) {
+    const uint64_t combos = in_degree[z] * out_edges[z].size();
+    if (combos == 0 || combos > 20'000 || admitted > options.max_path_pairs) {
+      continue;
+    }
+    eligible[z] = true;
+    admitted += combos;
+  }
+
+  std::vector<Rule> rules;
+  // `body` holds the rule's (x, y) instantiations in head-atom terms.
+  auto evaluate = [&](RuleBodyKind kind, RelationId body1, RelationId body2,
+                      const std::set<Pair>& body) {
+    for (size_t h = 0; h < num_relations; ++h) {
+      const RelationId head = static_cast<RelationId>(h);
+      if (kind == RuleBodyKind::kSame && head == body1) continue;
+      size_t support = 0;
+      size_t pca_body = 0;
+      for (const auto& [x, y] : body) {
+        const auto it = multiplicity.find({x, head, y});
+        if (it != multiplicity.end()) support += it->second;
+        if (subjects[h].count(x) != 0) ++pca_body;
+      }
+      if (support == 0 || support < options.min_support) continue;
+      Rule rule;
+      rule.kind = kind;
+      rule.body1 = body1;
+      rule.body2 = body2;
+      rule.head = head;
+      rule.support = support;
+      rule.body_size = body.size();
+      rule.std_confidence = static_cast<double>(support) /
+                            static_cast<double>(body.size());
+      rule.pca_confidence = pca_body > 0 ? static_cast<double>(support) /
+                                               static_cast<double>(pca_body)
+                                         : 0.0;
+      rule.head_coverage = static_cast<double>(support) /
+                           static_cast<double>(relation_size[h]);
+      const double confidence = options.use_pca_confidence
+                                    ? rule.pca_confidence
+                                    : rule.std_confidence;
+      if (rule.head_coverage >= options.min_head_coverage &&
+          confidence >= options.min_confidence) {
+        rules.push_back(rule);
+      }
+    }
+  };
+
+  for (size_t r1 = 0; r1 < num_relations; ++r1) {
+    const RelationId body1 = static_cast<RelationId>(r1);
+    if (pairs[r1].size() >= options.min_support) {
+      evaluate(RuleBodyKind::kSame, body1, -1, pairs[r1]);
+      std::set<Pair> reversed;
+      for (const auto& [a, b] : pairs[r1]) reversed.insert({b, a});
+      evaluate(RuleBodyKind::kInverse, body1, -1, reversed);
+    }
+    for (size_t r2 = 0; r2 < num_relations; ++r2) {
+      std::set<Pair> body;
+      for (const auto& [x, z] : pairs[r1]) {
+        if (!eligible[static_cast<size_t>(z)]) continue;
+        for (const auto& [r, y] : out_edges[static_cast<size_t>(z)]) {
+          if (static_cast<size_t>(r) == r2) body.insert({x, y});
+        }
+      }
+      if (!body.empty()) {
+        evaluate(RuleBodyKind::kPath, body1, static_cast<RelationId>(r2),
+                 body);
+      }
+    }
+  }
+
+  std::sort(rules.begin(), rules.end(), [&](const Rule& a, const Rule& b) {
+    const double ca =
+        options.use_pca_confidence ? a.pca_confidence : a.std_confidence;
+    const double cb =
+        options.use_pca_confidence ? b.pca_confidence : b.std_confidence;
+    if (ca != cb) return ca > cb;
+    if (a.support != b.support) return a.support > b.support;
+    return std::tuple(static_cast<int>(a.kind), a.body1, a.body2, a.head) <
+           std::tuple(static_cast<int>(b.kind), b.body1, b.body2, b.head);
+  });
+  return rules;
 }
 
 TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,

@@ -117,6 +117,23 @@ std::vector<TripleRanks> NaiveRankTriples(const LinkPredictor& predictor,
                                           const TripleStore& filter,
                                           const TripleList& test);
 
+/// Brute-force rule miner, the oracle MineRules must match exactly, order
+/// included. Rule bodies are explicit (x, y) pair sets built from the fact
+/// list: distinct pairs of r1 (same), reversed pairs of r1 (inverse), and
+/// every r1(x,z) ^ r2(z,y) through an eligible mediator z (path). Mediators
+/// are admitted in ascending id, skipping hubs (in·out > 20000, degrees
+/// counting duplicate facts) and stopping once the admitted in·out sum
+/// exceeds max_path_pairs. For every body and head relation: support sums
+/// the head facts on each body pair (a duplicate fact counts twice); the PCA
+/// denominator counts body pairs whose x is a head subject. A rule needs
+/// support >= max(1, min_support), unary bodies at least min_support pairs,
+/// and same-direction rules a head other than their body; then the
+/// coverage and confidence thresholds apply. Sorted by confidence desc,
+/// support desc, then (kind, body1, body2, head) asc. Meant for small
+/// stores: it visits every (r1, r2, head) triple of relations.
+std::vector<Rule> NaiveMineRules(const TripleStore& train,
+                                 const AmieOptions& options);
+
 /// Builds the canonical context: cache dir from $KGC_CACHE_DIR (default
 /// "kgc_cache"), default seeds, quiet training logs.
 ExperimentContext MakeContext();

@@ -100,6 +100,13 @@ else
     echo "== bench_scale smoke budget under ASan =="
     "${BUILD_DIR}/bench/bench_scale" --smoke
 
+    # Rule mining at preset size under ASan: the miner's packed path keys
+    # and flat buffers only reach this size here (the unit tests use small
+    # stores), and leak detection stays on.
+    echo "== rule mining on the fb and wn presets under ASan =="
+    "${BUILD_DIR}/examples/rule_mining" fb 10
+    "${BUILD_DIR}/examples/rule_mining" wn 10
+
     # Serving overload smoke under ASan: a short kgc_serve + kgc_load
     # session with a deliberately tiny admission queue and a stall
     # failpoint in batch scoring. Asserts the robustness path actually

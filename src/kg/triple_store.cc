@@ -33,30 +33,23 @@ bool EntitySetView::contains(EntityId e) const {
 }
 
 PairSetView::iterator& PairSetView::iterator::operator++() {
-  if (t_ != nullptr) {
-    // Skip past every duplicate of the current (head, tail) pair.
-    const EntityId h = t_->head;
-    const EntityId t = t_->tail;
-    do {
-      ++t_;
-    } while (t_ != t_end_ && t_->head == h && t_->tail == t);
-  } else {
-    ++k_;
-  }
+  // Skip past every duplicate of the current (head, tail) pair.
+  const EntityId h = t_->head;
+  const EntityId t = t_->tail;
+  do {
+    ++t_;
+  } while (t_ != t_end_ && t_->head == h && t_->tail == t);
   return *this;
 }
 
 bool PairSetView::contains(uint64_t packed_pair) const {
-  if (!triples_.empty()) {
-    // The slice is sorted by (head, tail), which is PackPair order.
-    const auto it = std::lower_bound(
-        triples_.begin(), triples_.end(), packed_pair,
-        [](const Triple& t, uint64_t key) {
-          return PackPair(t.head, t.tail) < key;
-        });
-    return it != triples_.end() && PackPair(it->head, it->tail) == packed_pair;
-  }
-  return std::binary_search(keys_.begin(), keys_.end(), packed_pair);
+  // The slice is sorted by (head, tail), which is PackPair order.
+  const auto it = std::lower_bound(
+      triples_.begin(), triples_.end(), packed_pair,
+      [](const Triple& t, uint64_t key) {
+        return PackPair(t.head, t.tail) < key;
+      });
+  return it != triples_.end() && PackPair(it->head, it->tail) == packed_pair;
 }
 
 TripleStore::TripleStore(TripleList triples, int32_t num_entities,

@@ -55,11 +55,10 @@ class EntitySetView {
 };
 
 /// Read-only set of distinct subject-object pairs of one relation, iterated
-/// as PackPair(h, t) keys in ascending order. Two backings share one
-/// interface: a slice of the store's relation-sorted triple array (duplicate
-/// triples are skipped on the fly; the distinct count is precomputed), or a
-/// caller-owned sorted array of unique packed keys (used by the rule miner
-/// for path bodies). Views are cheap to copy; they do not own storage.
+/// as PackPair(h, t) keys in ascending order. Backed by a slice of the
+/// store's relation-sorted triple array: duplicate triples are skipped on
+/// the fly, and the distinct count is precomputed. Views are cheap to copy;
+/// they do not own storage.
 class PairSetView {
  public:
   class iterator {
@@ -69,10 +68,7 @@ class PairSetView {
 
     iterator() = default;
     iterator(const Triple* t, const Triple* t_end) : t_(t), t_end_(t_end) {}
-    explicit iterator(const uint64_t* k) : k_(k) {}
-    uint64_t operator*() const {
-      return t_ != nullptr ? PackPair(t_->head, t_->tail) : *k_;
-    }
+    uint64_t operator*() const { return PackPair(t_->head, t_->tail); }
     iterator& operator++();
     iterator operator++(int) {
       iterator copy = *this;
@@ -80,7 +76,7 @@ class PairSetView {
       return copy;
     }
     friend bool operator==(const iterator& a, const iterator& b) {
-      return a.t_ == b.t_ && a.k_ == b.k_;
+      return a.t_ == b.t_;
     }
     friend bool operator!=(const iterator& a, const iterator& b) {
       return !(a == b);
@@ -89,7 +85,6 @@ class PairSetView {
    private:
     const Triple* t_ = nullptr;
     const Triple* t_end_ = nullptr;
-    const uint64_t* k_ = nullptr;
   };
 
   PairSetView() = default;
@@ -104,36 +99,21 @@ class PairSetView {
     return view;
   }
 
-  /// View over a sorted array of unique PackPair keys.
-  static PairSetView FromKeys(std::span<const uint64_t> keys) {
-    PairSetView view;
-    view.keys_ = keys;
-    view.distinct_ = keys.size();
-    return view;
-  }
-
   /// Number of distinct pairs.
   size_t size() const { return distinct_; }
   bool empty() const { return distinct_ == 0; }
   bool contains(uint64_t packed_pair) const;
 
   iterator begin() const {
-    if (!triples_.empty()) {
-      return iterator(triples_.data(), triples_.data() + triples_.size());
-    }
-    return iterator(keys_.data());
+    return iterator(triples_.data(), triples_.data() + triples_.size());
   }
   iterator end() const {
-    if (!triples_.empty()) {
-      return iterator(triples_.data() + triples_.size(),
-                      triples_.data() + triples_.size());
-    }
-    return iterator(keys_.data() + keys_.size());
+    return iterator(triples_.data() + triples_.size(),
+                    triples_.data() + triples_.size());
   }
 
  private:
   std::span<const Triple> triples_;
-  std::span<const uint64_t> keys_;
   size_t distinct_ = 0;
 };
 

@@ -78,7 +78,8 @@ Registry::Registry() {
         kRankerQueryCacheMisses, kTopKTilesPruned, kTopKEntitiesScored,
         kTopKHeapPushes, kTopKQueriesBatched, kRedundancyPairsCompared,
         kRedundancyPairsFlagged, kRedundancyTriplesClassified,
-        kAmieCandidates, kAmieRulesKept, kCacheModelHits, kCacheModelMisses,
+        kAmieCandidates, kAmieRulesKept, kAmiePathPairs, kAmieHubMediators,
+        kAmieBudgetCutMediators, kCacheModelHits, kCacheModelMisses,
         kCacheRankHits, kCacheRankMisses, kCacheQuarantined,
         kCacheRegenerated, kCacheStoreUnusable, kFaultsInjected,
         kDeadlineExpired, kIngestRejectedFiles, kIngestRejectedLines,

@@ -186,6 +186,14 @@ inline constexpr char kRedundancyTriplesClassified[] =
     "kgc.redundancy.triples_classified";
 inline constexpr char kAmieCandidates[] = "kgc.amie.candidates";
 inline constexpr char kAmieRulesKept[] = "kgc.amie.rules_kept";
+// Rule-miner path enumeration (rules/amie, see EXPERIMENTS.md): distinct
+// (x, y) pairs over all two-hop bodies, and the mediator entities the
+// enumeration left out — hubs (in·out > 20000) and those past the
+// max_path_pairs budget. Pure functions of the store and the options.
+inline constexpr char kAmiePathPairs[] = "kgc.amie.path_pairs";
+inline constexpr char kAmieHubMediators[] = "kgc.amie.hub_mediators";
+inline constexpr char kAmieBudgetCutMediators[] =
+    "kgc.amie.budget_cut_mediators";
 inline constexpr char kCacheModelHits[] = "kgc.cache.model_hits";
 inline constexpr char kCacheModelMisses[] = "kgc.cache.model_misses";
 inline constexpr char kCacheRankHits[] = "kgc.cache.rank_hits";

@@ -1,14 +1,13 @@
 #include "rules/amie.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
+#include <tuple>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/deadline.h"
-#include "util/parallel.h"
 #include "util/string_util.h"
 
 namespace kgc {
@@ -38,50 +37,114 @@ std::string Rule::ToString(const Vocab& vocab) const {
 
 namespace {
 
-// Relations holding between each linked (h, t) pair.
-using PairRelationIndex =
-    std::unordered_map<uint64_t, std::vector<RelationId>>;
+// Mediators whose in·out combination count exceeds this are hubs: path
+// enumeration skips them.
+constexpr uint64_t kMaxCombosPerEntity = 20'000;
 
-PairRelationIndex BuildPairRelationIndex(const TripleStore& train) {
-  PairRelationIndex index;
-  index.reserve(train.size());
-  for (const Triple& t : train.triples()) {
-    index[PackPair(t.head, t.tail)].push_back(t.relation);
-  }
-  return index;
+constexpr int kPairBits = 2 * kPackedEntityBits;
+constexpr uint64_t kEntityMask = (uint64_t{1} << kPackedEntityBits) - 1;
+constexpr uint64_t kPairMask = (uint64_t{1} << kPairBits) - 1;
+constexpr uint64_t kRelationMask = (uint64_t{1} << kPackedRelationBits) - 1;
+
+// An (x, y) entity pair in 48 bits; ascending order is PackPair order. Fits
+// because TripleStore enforces the packed entity width.
+uint64_t Pair48(EntityId x, EntityId y) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(x))
+          << kPackedEntityBits) |
+         static_cast<uint32_t>(y);
 }
 
-// Finalizes confidence fields and applies thresholds; returns true if the
-// rule survives.
-bool FinalizeRule(const TripleStore& train, const AmieOptions& options,
-                  size_t pca_body, Rule& rule) {
-  const size_t head_size = train.RelationSize(rule.head);
-  if (rule.support < options.min_support || rule.body_size == 0 ||
-      head_size == 0) {
-    return false;
+// Every train fact as one packed entry — its (h, t) pair in the high 48
+// bits, its relation in the low 16 — sorted, so the facts on one pair form
+// a contiguous run. Duplicate facts stay: a fact stored twice counts twice
+// toward a rule's support.
+class PairIndex {
+ public:
+  explicit PairIndex(const TripleStore& train) {
+    entries_.reserve(train.size());
+    for (const Triple& t : train.triples()) {
+      entries_.push_back(Pair48(t.head, t.tail) << kPackedRelationBits |
+                         static_cast<uint32_t>(t.relation));
+    }
+    std::sort(entries_.begin(), entries_.end());
   }
-  rule.std_confidence =
-      static_cast<double>(rule.support) / static_cast<double>(rule.body_size);
-  rule.pca_confidence =
-      pca_body > 0 ? static_cast<double>(rule.support) /
-                         static_cast<double>(pca_body)
-                   : 0.0;
-  rule.head_coverage =
-      static_cast<double>(rule.support) / static_cast<double>(head_size);
-  if (rule.head_coverage < options.min_head_coverage) return false;
-  const double confidence = options.use_pca_confidence ? rule.pca_confidence
-                                                       : rule.std_confidence;
-  return confidence >= options.min_confidence;
-}
 
-// A rule whose support has been counted but whose PCA denominator — a sweep
-// over its body pairs — is still pending. `body_pairs` views storage that
-// stays valid for the whole mining run (the TripleStore's CSR arrays or the
-// path-body map's sorted key vectors).
-struct RuleCandidate {
-  Rule rule;
-  PairSetView body_pairs;
+  // Calls visit(relation) once per fact on `pair`. `pos` is a forward-only
+  // cursor: the pairs looked up through one cursor must not decrease (start
+  // each ascending run at 0). The lower bound gallops forward from `pos`,
+  // so a run of lookups costs O(log gap) each.
+  template <typename Visit>
+  void ForEachRelation(uint64_t pair, size_t& pos, Visit&& visit) const {
+    const uint64_t lo = pair << kPackedRelationBits;
+    const size_t n = entries_.size();
+    size_t hi = pos;
+    for (size_t step = 1; hi < n && entries_[hi] < lo; step *= 2) {
+      pos = hi + 1;
+      hi = std::min(n, hi + step);
+    }
+    pos = static_cast<size_t>(
+        std::lower_bound(entries_.begin() + static_cast<ptrdiff_t>(pos),
+                         entries_.begin() + static_cast<ptrdiff_t>(hi), lo) -
+        entries_.begin());
+    for (size_t i = pos; i < n && (entries_[i] >> kPackedRelationBits) == pair;
+         ++i) {
+      visit(static_cast<RelationId>(entries_[i] & kRelationMask));
+    }
+  }
+
+ private:
+  std::vector<uint64_t> entries_;
 };
+
+// Support per head relation, dense over relation ids; `touched_` lists the
+// heads counted so far, so a reset costs only them.
+class HeadCounts {
+ public:
+  explicit HeadCounts(int32_t num_relations)
+      : counts_(static_cast<size_t>(num_relations), 0) {}
+
+  void Add(RelationId head) {
+    if (counts_[static_cast<size_t>(head)]++ == 0) touched_.push_back(head);
+  }
+
+  // Calls fn(head, support) for every counted head, then resets.
+  template <typename Fn>
+  void Drain(Fn&& fn) {
+    for (RelationId head : touched_) {
+      fn(head, counts_[static_cast<size_t>(head)]);
+      counts_[static_cast<size_t>(head)] = 0;
+    }
+    touched_.clear();
+  }
+
+ private:
+  std::vector<size_t> counts_;
+  std::vector<RelationId> touched_;
+};
+
+// PCA denominator: body pairs whose x is a subject of the head relation.
+// `x_of` maps each body item to its x, which must ascend along `body`, so
+// one forward merge against the sorted subjects counts them.
+template <typename Body, typename XOf>
+size_t PcaBody(const Body& body, XOf&& x_of, EntitySetView subjects) {
+  size_t pca_body = 0;
+  const EntityId* s = subjects.begin();
+  for (const auto& item : body) {
+    const EntityId x = x_of(item);
+    while (s != subjects.end() && *s < x) ++s;
+    if (s == subjects.end()) break;
+    if (*s == x) ++pca_body;
+  }
+  return pca_body;
+}
+
+// Per-thread count of the rules generating each candidate, n zeros on
+// return; reused across queries so scoring does not allocate.
+std::span<int> RuleCountScratch(size_t n) {
+  thread_local std::vector<int> count;
+  count.assign(n, 0);
+  return count;
+}
 
 }  // namespace
 
@@ -92,173 +155,207 @@ std::vector<Rule> MineRules(const TripleStore& train,
   span.AddArgInt("relations", train.num_relations());
   span.AddArgInt("triples", static_cast<long long>(train.size()));
   const int32_t num_relations = train.num_relations();
-  const PairRelationIndex pair_index = BuildPairRelationIndex(train);
+  const size_t num_entities = static_cast<size_t>(train.num_entities());
+  const PairIndex pair_index(train);
+  HeadCounts counts(num_relations);
+  std::vector<Rule> rules;
+  size_t num_candidates = 0;
+
+  // A candidate is a rule whose support (> 0) passed min_support; it
+  // survives if its head coverage and confidence pass too.
+  auto consider = [&](RuleBodyKind kind, RelationId body1, RelationId body2,
+                      RelationId head, size_t support, size_t body_size,
+                      size_t pca_body) {
+    ++num_candidates;
+    Rule rule;
+    rule.kind = kind;
+    rule.body1 = body1;
+    rule.body2 = body2;
+    rule.head = head;
+    rule.support = support;
+    rule.body_size = body_size;
+    const double s = static_cast<double>(support);
+    rule.std_confidence = s / static_cast<double>(body_size);
+    rule.pca_confidence =
+        pca_body > 0 ? s / static_cast<double>(pca_body) : 0.0;
+    rule.head_coverage = s / static_cast<double>(train.RelationSize(head));
+    const double confidence = options.use_pca_confidence
+                                  ? rule.pca_confidence
+                                  : rule.std_confidence;
+    if (rule.head_coverage >= options.min_head_coverage &&
+        confidence >= options.min_confidence) {
+      rules.push_back(rule);
+    }
+  };
 
   // --- Unary rules: r1(x,y) => rh(x,y) and r1(y,x) => rh(x,y). ------------
-  // For each body relation count, via the pair index, how many of its pairs
-  // (or reversed pairs) carry each other relation. Body relations are
-  // statically sharded across threads; each shard emits candidates into its
-  // own vector and the shards concatenate in order, reproducing the serial
-  // ascending-body emission sequence exactly.
-  const size_t num_bodies =
-      num_relations > 0 ? static_cast<size_t>(num_relations) : size_t{0};
-  std::vector<std::vector<RuleCandidate>> unary_local(static_cast<size_t>(
-      std::max(PlannedShards(num_bodies, options.threads), 1)));
-  ParallelFor(num_bodies, options.threads,
-              [&](size_t begin, size_t end, int shard) {
-    std::vector<RuleCandidate>& out = unary_local[static_cast<size_t>(shard)];
-    for (size_t b = begin; b < end; ++b) {
-      const RelationId body = static_cast<RelationId>(b);
-      const PairSetView body_pairs = train.Pairs(body);
-      if (body_pairs.size() < options.min_support) continue;
-      std::unordered_map<RelationId, size_t> same_support;
-      std::unordered_map<RelationId, size_t> inverse_support;
-      for (uint64_t key : body_pairs) {
-        auto it = pair_index.find(key);
-        if (it != pair_index.end()) {
-          for (RelationId rh : it->second) same_support[rh] += 1;
-        }
-        const auto [x, y] = UnpackPair(key);
-        auto rit = pair_index.find(PackPair(y, x));
-        if (rit != pair_index.end()) {
-          for (RelationId rh : rit->second) inverse_support[rh] += 1;
-        }
+  // For each body relation count, through the pair index, the facts on each
+  // of its distinct pairs (same) and reversed pairs (inverse). Body pairs
+  // ascend, and so do the reversed pairs within each run of equal x.
+  HeadCounts inverse_counts(num_relations);
+  std::vector<EntityId> objects;
+  for (RelationId body = 0; body < num_relations; ++body) {
+    const PairSetView body_pairs = train.Pairs(body);
+    if (body_pairs.size() < options.min_support) continue;
+    size_t same_pos = 0;
+    size_t inverse_pos = 0;
+    EntityId run_x = -1;
+    for (uint64_t key : body_pairs) {
+      const auto [x, y] = UnpackPair(key);
+      if (x != run_x) {
+        run_x = x;
+        inverse_pos = 0;
       }
-      auto emit = [&](RuleBodyKind kind, RelationId head, size_t support) {
-        if (kind == RuleBodyKind::kSame && head == body) return;  // tautology
-        if (support < options.min_support) return;
-        RuleCandidate candidate;
-        candidate.rule.kind = kind;
-        candidate.rule.body1 = body;
-        candidate.rule.head = head;
-        candidate.rule.support = support;
-        candidate.rule.body_size = body_pairs.size();
-        candidate.body_pairs = body_pairs;
-        out.push_back(candidate);
-      };
-      for (const auto& [head, support] : same_support) {
-        emit(RuleBodyKind::kSame, head, support);
-      }
-      for (const auto& [head, support] : inverse_support) {
-        emit(RuleBodyKind::kInverse, head, support);
-      }
+      pair_index.ForEachRelation(Pair48(x, y), same_pos,
+                                 [&](RelationId rh) { counts.Add(rh); });
+      pair_index.ForEachRelation(Pair48(y, x), inverse_pos, [&](RelationId rh) {
+        inverse_counts.Add(rh);
+      });
     }
-  });
-  std::vector<RuleCandidate> candidates;
-  for (std::vector<RuleCandidate>& local : unary_local) {
-    candidates.insert(candidates.end(), local.begin(), local.end());
+    counts.Drain([&](RelationId head, size_t support) {
+      // head == body is the tautology r(x,y) => r(x,y).
+      if (head == body || support < options.min_support) return;
+      consider(RuleBodyKind::kSame, body, -1, head, support, body_pairs.size(),
+               PcaBody(body_pairs,
+                       [](uint64_t key) { return UnpackPair(key).first; },
+                       train.Subjects(head)));
+    });
+    // The inverse rule's x is the body pair's object: sorted once, on the
+    // first candidate.
+    objects.clear();
+    inverse_counts.Drain([&](RelationId head, size_t support) {
+      if (support < options.min_support) return;
+      if (objects.empty()) {
+        for (uint64_t key : body_pairs) {
+          objects.push_back(UnpackPair(key).second);
+        }
+        std::sort(objects.begin(), objects.end());
+      }
+      consider(RuleBodyKind::kInverse, body, -1, head, support,
+               body_pairs.size(),
+               PcaBody(objects, [](EntityId x) { return x; },
+                       train.Subjects(head)));
+    });
   }
-  // Candidate rounds are the miner's deadline boundaries: a timeout lands
-  // between rounds, never inside a sharded sweep. Rules are mined from the
-  // training split alone, so a retry simply re-mines.
+  // Candidate rounds are the miner's deadline boundaries. Rules are mined
+  // from the training split alone, so a retry simply re-mines.
   PhaseBoundary("mine_unary_candidates");
 
   // --- Path rules: r1(x,z) ^ r2(z,y) => rh(x,y). --------------------------
-  // Enumerate 2-hop body pairs through each mediator entity; bodies are
-  // keyed by (r1, r2). The enumeration stays serial: the global
-  // max_path_pairs cap makes which pairs get enumerated order-dependent, so
-  // sharding it would break the determinism contract. The expensive part —
-  // the per-candidate PCA sweep — joins the parallel evaluation below.
-  struct PathBody {
-    std::unordered_set<uint64_t> pairs;
-    std::unordered_map<RelationId, size_t> support;
-    // `pairs` dumped and sorted once enumeration finishes, so candidates can
-    // hold a PairSetView over stable storage.
-    std::vector<uint64_t> sorted_pairs;
-  };
-  std::unordered_map<uint64_t, PathBody> bodies;
-  size_t total_pairs = 0;
-
-  // Per-entity adjacency. in_edges[z] = (r1, x) with (x, r1, z);
-  // out_edges[z] = (r2, y) with (z, r2, y).
-  std::vector<std::vector<std::pair<RelationId, EntityId>>> in_edges(
-      static_cast<size_t>(train.num_entities()));
-  std::vector<std::vector<std::pair<RelationId, EntityId>>> out_edges(
-      static_cast<size_t>(train.num_entities()));
+  // Out-adjacency CSR: entity z's out-edges are out_edges[out_offsets[z] ..
+  // out_offsets[z+1]), each packed as r2 << 48 | y (a path key without its
+  // x). Duplicate facts stay, as they do in the degrees.
+  std::vector<uint32_t> out_offsets(num_entities + 1, 0);
+  std::vector<uint32_t> in_degree(num_entities, 0);
   for (const Triple& t : train.triples()) {
-    in_edges[static_cast<size_t>(t.tail)].push_back({t.relation, t.head});
-    out_edges[static_cast<size_t>(t.head)].push_back({t.relation, t.tail});
+    ++out_offsets[static_cast<size_t>(t.head) + 1];
+    ++in_degree[static_cast<size_t>(t.tail)];
   }
-  constexpr size_t kMaxCombosPerEntity = 20'000;
-  for (EntityId z = 0; z < train.num_entities(); ++z) {
-    const auto& in = in_edges[static_cast<size_t>(z)];
-    const auto& out = out_edges[static_cast<size_t>(z)];
-    if (in.empty() || out.empty()) continue;
-    if (in.size() * out.size() > kMaxCombosPerEntity) continue;  // hub cap
-    if (total_pairs > options.max_path_pairs) break;
-    for (const auto& [r1, x] : in) {
-      for (const auto& [r2, y] : out) {
-        PathBody& body =
-            bodies[(static_cast<uint64_t>(static_cast<uint32_t>(r1)) << 32) |
-                   static_cast<uint32_t>(r2)];
-        if (!body.pairs.insert(PackPair(x, y)).second) continue;
-        ++total_pairs;
-        auto it = pair_index.find(PackPair(x, y));
-        if (it != pair_index.end()) {
-          for (RelationId rh : it->second) body.support[rh] += 1;
-        }
+  for (size_t z = 0; z < num_entities; ++z) {
+    out_offsets[z + 1] += out_offsets[z];
+  }
+  std::vector<uint64_t> out_edges(train.size());
+  {
+    std::vector<uint32_t> fill(out_offsets.begin(), out_offsets.end() - 1);
+    for (const Triple& t : train.triples()) {
+      out_edges[fill[static_cast<size_t>(t.head)]++] =
+          static_cast<uint64_t>(t.relation) << kPairBits |
+          static_cast<uint32_t>(t.tail);
+    }
+  }
+
+  // Eligible mediators, a pure function of the degrees: walk ascending,
+  // skip hubs, and stop admitting once the admitted in·out combinations
+  // exceed max_path_pairs.
+  std::vector<uint8_t> eligible(num_entities, 0);
+  uint64_t admitted_combos = 0;
+  size_t hub_mediators = 0;
+  size_t budget_cut_mediators = 0;
+  for (size_t z = 0; z < num_entities; ++z) {
+    const uint64_t combos = uint64_t{in_degree[z]} *
+                            uint64_t{out_offsets[z + 1] - out_offsets[z]};
+    if (combos == 0) continue;
+    if (combos > kMaxCombosPerEntity) {
+      ++hub_mediators;
+    } else if (admitted_combos > options.max_path_pairs) {
+      ++budget_cut_mediators;
+    } else {
+      eligible[z] = 1;
+      admitted_combos += combos;
+    }
+  }
+
+  // Per r1: emit r2 << 48 | x << 24 | y for every combination through an
+  // eligible mediator, then sort and de-duplicate. Each r2 run is that
+  // body's sorted, distinct pair set; its pairs ascend, so one pair-index
+  // cursor serves the run. Only one r1's keys are live at a time.
+  std::vector<uint64_t> keys;
+  size_t path_pairs = 0;
+  for (RelationId r1 = 0; r1 < num_relations; ++r1) {
+    const std::span<const Triple> facts = train.ByRelation(r1);
+    size_t combos = 0;
+    for (const Triple& f : facts) {
+      const size_t z = static_cast<size_t>(f.tail);
+      if (eligible[z]) combos += out_offsets[z + 1] - out_offsets[z];
+    }
+    if (combos == 0) continue;
+    keys.clear();
+    keys.reserve(combos);
+    for (const Triple& f : facts) {
+      const size_t z = static_cast<size_t>(f.tail);
+      if (!eligible[z]) continue;
+      const uint64_t x = static_cast<uint64_t>(f.head) << kPackedEntityBits;
+      for (uint32_t e = out_offsets[z]; e < out_offsets[z + 1]; ++e) {
+        keys.push_back(out_edges[e] | x);
       }
     }
-  }
-  for (auto& [key, body] : bodies) {
-    const RelationId r1 = static_cast<RelationId>(key >> 32);
-    const RelationId r2 = static_cast<RelationId>(key & 0xffffffffULL);
-    body.sorted_pairs.assign(body.pairs.begin(), body.pairs.end());
-    std::sort(body.sorted_pairs.begin(), body.sorted_pairs.end());
-    for (const auto& [head, support] : body.support) {
-      if (support < options.min_support) continue;
-      RuleCandidate candidate;
-      candidate.rule.kind = RuleBodyKind::kPath;
-      candidate.rule.body1 = r1;
-      candidate.rule.body2 = r2;
-      candidate.rule.head = head;
-      candidate.rule.support = support;
-      candidate.rule.body_size = body.sorted_pairs.size();
-      candidate.body_pairs = PairSetView::FromKeys(body.sorted_pairs);
-      candidates.push_back(candidate);
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+    for (size_t begin = 0; begin < keys.size();) {
+      const uint64_t r2 = keys[begin] >> kPairBits;
+      size_t end = begin;
+      size_t pos = 0;
+      for (; end < keys.size() && keys[end] >> kPairBits == r2; ++end) {
+        pair_index.ForEachRelation(keys[end] & kPairMask, pos,
+                                   [&](RelationId rh) { counts.Add(rh); });
+      }
+      const std::span<const uint64_t> body(keys.data() + begin, end - begin);
+      path_pairs += body.size();
+      counts.Drain([&](RelationId head, size_t support) {
+        if (support < options.min_support) return;
+        consider(RuleBodyKind::kPath, r1, static_cast<RelationId>(r2), head,
+                 support, body.size(),
+                 PcaBody(
+                     body,
+                     [](uint64_t key) {
+                       return static_cast<EntityId>(key >> kPackedEntityBits &
+                                                    kEntityMask);
+                     },
+                     train.Subjects(head)));
+      });
+      begin = end;
     }
   }
-
   PhaseBoundary("mine_path_candidates");
 
-  // --- Support/confidence evaluation, sharded over candidates. ------------
-  // The PCA denominator — body pairs whose x has some head-relation fact —
-  // is the dominant cost and is independent per candidate. Each candidate
-  // evaluates into its own slot; surviving rules compact in candidate order,
-  // which is exactly the order the serial loop pushed them.
-  std::vector<Rule> finalized(candidates.size());
-  std::vector<uint8_t> survived(candidates.size(), 0);
-  ParallelFor(candidates.size(), options.threads,
-              [&](size_t begin, size_t end, int /*shard*/) {
-    for (size_t i = begin; i < end; ++i) {
-      const RuleCandidate& candidate = candidates[i];
-      const EntitySetView head_subjects = train.Subjects(candidate.rule.head);
-      size_t pca_body = 0;
-      for (uint64_t key : candidate.body_pairs) {
-        const auto [bx, by] = UnpackPair(key);
-        const EntityId x =
-            candidate.rule.kind == RuleBodyKind::kInverse ? by : bx;
-        if (head_subjects.contains(x)) ++pca_body;
-      }
-      Rule rule = candidate.rule;
-      if (FinalizeRule(train, options, pca_body, rule)) {
-        finalized[i] = rule;
-        survived[i] = 1;
-      }
-    }
-  });
-  std::vector<Rule> rules;
-  for (size_t i = 0; i < finalized.size(); ++i) {
-    if (survived[i]) rules.push_back(finalized[i]);
-  }
-  // Counted after the sharded evaluation so both totals are shard-plan
-  // independent (candidates are emitted in a deterministic order).
+  // Every count above is a pure function of the store and the options, so
+  // all five counters are thread-count invariant.
   static obs::Counter& candidates_counter =
       obs::Registry::Get().GetCounter(obs::kAmieCandidates);
   static obs::Counter& kept_counter =
       obs::Registry::Get().GetCounter(obs::kAmieRulesKept);
-  candidates_counter.Add(candidates.size());
+  static obs::Counter& path_pairs_counter =
+      obs::Registry::Get().GetCounter(obs::kAmiePathPairs);
+  static obs::Counter& hub_counter =
+      obs::Registry::Get().GetCounter(obs::kAmieHubMediators);
+  static obs::Counter& cut_counter =
+      obs::Registry::Get().GetCounter(obs::kAmieBudgetCutMediators);
+  candidates_counter.Add(num_candidates);
   kept_counter.Add(rules.size());
+  path_pairs_counter.Add(path_pairs);
+  hub_counter.Add(hub_mediators);
+  cut_counter.Add(budget_cut_mediators);
 
   std::sort(rules.begin(), rules.end(), [&](const Rule& a, const Rule& b) {
     const double ca = options.use_pca_confidence ? a.pca_confidence
@@ -266,7 +363,9 @@ std::vector<Rule> MineRules(const TripleStore& train,
     const double cb = options.use_pca_confidence ? b.pca_confidence
                                                  : b.std_confidence;
     if (ca != cb) return ca > cb;
-    return a.support > b.support;
+    if (a.support != b.support) return a.support > b.support;
+    return std::tuple(static_cast<int>(a.kind), a.body1, a.body2, a.head) <
+           std::tuple(static_cast<int>(b.kind), b.body1, b.body2, b.head);
   });
   return rules;
 }
@@ -301,12 +400,12 @@ const std::vector<const Rule*>& RulePredictor::RulesForHead(
 
 void RulePredictor::ScoreTails(EntityId h, RelationId r,
                                std::span<float> out) const {
+  // `out` accumulates each candidate's best confidence.
   std::fill(out.begin(), out.end(), 0.0f);
-  std::vector<float> best(out.size(), 0.0f);
-  std::vector<int> count(out.size(), 0);
+  const std::span<int> count = RuleCountScratch(out.size());
   auto credit = [&](EntityId y, double confidence) {
     const size_t k = static_cast<size_t>(y);
-    best[k] = std::max(best[k], static_cast<float>(confidence));
+    out[k] = std::max(out[k], static_cast<float>(confidence));
     count[k] = std::min(count[k] + 1, 1000);
   };
   for (const Rule* rule : RulesForHead(r)) {
@@ -329,18 +428,17 @@ void RulePredictor::ScoreTails(EntityId h, RelationId r,
   }
   for (size_t k = 0; k < out.size(); ++k) {
     // Max confidence, ties broken by the number of generating rules.
-    out[k] = best[k] + static_cast<float>(count[k]) * 1e-6f;
+    out[k] += static_cast<float>(count[k]) * 1e-6f;
   }
 }
 
 void RulePredictor::ScoreHeads(RelationId r, EntityId t,
                                std::span<float> out) const {
   std::fill(out.begin(), out.end(), 0.0f);
-  std::vector<float> best(out.size(), 0.0f);
-  std::vector<int> count(out.size(), 0);
+  const std::span<int> count = RuleCountScratch(out.size());
   auto credit = [&](EntityId x, double confidence) {
     const size_t k = static_cast<size_t>(x);
-    best[k] = std::max(best[k], static_cast<float>(confidence));
+    out[k] = std::max(out[k], static_cast<float>(confidence));
     count[k] = std::min(count[k] + 1, 1000);
   };
   for (const Rule* rule : RulesForHead(r)) {
@@ -362,7 +460,7 @@ void RulePredictor::ScoreHeads(RelationId r, EntityId t,
     }
   }
   for (size_t k = 0; k < out.size(); ++k) {
-    out[k] = best[k] + static_cast<float>(count[k]) * 1e-6f;
+    out[k] += static_cast<float>(count[k]) * 1e-6f;
   }
 }
 

@@ -24,17 +24,25 @@ struct AmieOptions {
   size_t min_support = 5;
   double min_head_coverage = 0.01;
   double min_confidence = 0.05;
-  /// Cap on enumerated 2-hop body pairs per (r1, r2) to bound mining time.
+  /// Global budget on 2-hop path enumeration, in body combinations.
+  /// Mediator entities z are admitted in ascending id, skipping hubs (more
+  /// than 20000 in·out fact combinations); each admitted z adds its in·out
+  /// to a running sum, and once that sum exceeds this value no further
+  /// mediator is admitted. A pure function of the degrees; on the shipped
+  /// inputs (at most ~1.9M combinations) it never binds.
   size_t max_path_pairs = 2'000'000;
   /// Rank candidates by PCA confidence (true, AMIE+'s default) or standard.
   bool use_pca_confidence = true;
-  /// Worker threads for candidate generation and support/confidence
-  /// evaluation (0 = KGC_THREADS / hardware default; see util/parallel.h).
-  /// The mined rule list is bit-identical for any value.
+  /// Accepted for callers that set a thread count everywhere; mining is one
+  /// serial pass over flat sorted arrays (DESIGN.md "Rule mining"), so the
+  /// mined rule list is the same for any value.
   int threads = 0;
 };
 
-/// Mines rules from `train`.
+/// Mines rules from `train`. Rules come out ordered by confidence (PCA or
+/// standard, per `use_pca_confidence`) descending, then support
+/// descending, then (kind, body1, body2, head) ascending: a total order,
+/// so the list depends only on the mined rule set.
 std::vector<Rule> MineRules(const TripleStore& train,
                             const AmieOptions& options = {});
 

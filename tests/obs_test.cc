@@ -74,6 +74,9 @@ TEST(MetricsTest, RegistryPreRegistersCanonicalSchema) {
   EXPECT_TRUE(has_counter(obs::kRankerTriplesRanked));
   EXPECT_TRUE(has_counter(obs::kRedundancyPairsCompared));
   EXPECT_TRUE(has_counter(obs::kAmieCandidates));
+  EXPECT_TRUE(has_counter(obs::kAmiePathPairs));
+  EXPECT_TRUE(has_counter(obs::kAmieHubMediators));
+  EXPECT_TRUE(has_counter(obs::kAmieBudgetCutMediators));
   EXPECT_TRUE(has_counter(obs::kCacheModelHits));
   EXPECT_TRUE(has_counter(obs::kCacheQuarantined));
   EXPECT_TRUE(has_counter(obs::kFaultsInjected));
@@ -253,6 +256,36 @@ TEST(DeterminismTest, CountersBitIdenticalAcrossThreadCounts) {
     if (c.name == obs::kRankerQueryCacheHits) {
       EXPECT_EQ(c.value, 2u * kg.dataset.test().size() - unique_queries);
     }
+  }
+  obs::Registry::Get().ResetAllForTest();
+}
+
+TEST(DeterminismTest, AmieEnumerationCountersAreExact) {
+  // Chain 0 -r0-> 1 -r1-> 2 -r0-> 3 -r1-> 4: mediators 1, 2 and 3 have one
+  // combination each. Entity 5 is a hub: entities 6..155 each point to it
+  // by r0 and receive from it by r1 (150 x 150 = 22500 combinations), which
+  // also makes each of them a one-combination mediator.
+  TripleList triples = {{0, 0, 1}, {1, 1, 2}, {2, 0, 3}, {3, 1, 4}};
+  for (EntityId e = 6; e <= 155; ++e) {
+    triples.push_back({e, 0, 5});
+    triples.push_back({5, 1, e});
+  }
+  const TripleStore store(triples, 156, 2);
+  AmieOptions options;
+  // Mediators 1 and 2 are admitted (the sum is 0, then 1); from mediator 3
+  // on the sum (2) exceeds the budget: 3 and 6..155 are cut.
+  options.max_path_pairs = 1;
+  for (int threads : {1, 4}) {
+    options.threads = threads;
+    obs::Registry::Get().ResetAllForTest();
+    MineRules(store, options);
+    auto counter = [](const char* name) {
+      return obs::Registry::Get().GetCounter(name).value();
+    };
+    // Bodies r0.r1 = {(0, 2)} through 1 and r1.r0 = {(1, 3)} through 2.
+    EXPECT_EQ(counter(obs::kAmiePathPairs), 2u) << threads;
+    EXPECT_EQ(counter(obs::kAmieHubMediators), 1u) << threads;
+    EXPECT_EQ(counter(obs::kAmieBudgetCutMediators), 151u) << threads;
   }
   obs::Registry::Get().ResetAllForTest();
 }

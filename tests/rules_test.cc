@@ -5,9 +5,13 @@
 
 #include <algorithm>
 
+#include "bench/bench_common.h"
+#include "obs/metrics.h"
 #include "rules/amie.h"
 #include "rules/cartesian_predictor.h"
 #include "rules/simple_rule_model.h"
+#include "util/rng.h"
+#include "util/string_util.h"
 
 namespace kgc {
 namespace {
@@ -137,6 +141,127 @@ TEST(RulePredictorTest, PathRulePrediction) {
   predictor.ScoreTails(5, 4, scores);
   EXPECT_GT(scores[8], 0.0f);
   EXPECT_EQ(scores[10], 0.0f);
+}
+
+// --- MineRules against the brute-force oracle ------------------------------
+
+// Random store with planted rules over 200 entities: r1 copies ~70% of r0
+// (same), r2 reverses ~70% of r0 (inverse), r4 composes r0 then r3 on ~60%
+// of the two-hop pairs (path), r5 is noise. Entity 0 is a hub mediator
+// (150 r5 facts in, 150 r3 facts out: 22500 combinations), and ~5% of the
+// facts are stored twice.
+TripleStore RandomRuleStore(uint64_t seed) {
+  constexpr int32_t kEntities = 200;
+  Rng rng(seed);
+  auto entity = [&] {
+    return static_cast<EntityId>(rng.UniformInt(1, kEntities - 1));
+  };
+  TripleList triples;
+  for (int i = 0; i < 120; ++i) triples.push_back({entity(), 0, entity()});
+  for (int i = 0; i < 120; ++i) triples.push_back({entity(), 3, entity()});
+  for (int i = 0; i < 60; ++i) triples.push_back({entity(), 5, entity()});
+  const TripleList base = triples;
+  for (const Triple& a : base) {
+    if (a.relation != 0) continue;
+    if (rng.UniformDouble() < 0.7) triples.push_back({a.head, 1, a.tail});
+    if (rng.UniformDouble() < 0.7) triples.push_back({a.tail, 2, a.head});
+    for (const Triple& b : base) {
+      if (b.relation == 3 && b.head == a.tail && rng.UniformDouble() < 0.6) {
+        triples.push_back({a.head, 4, b.tail});
+      }
+    }
+  }
+  for (EntityId e = 1; e <= 150; ++e) {
+    triples.push_back({e, 5, 0});
+    triples.push_back({0, 3, e});
+  }
+  const size_t n = triples.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.Uniform(20) == 0) triples.push_back(triples[i]);
+  }
+  return TripleStore(triples, kEntities, 6);
+}
+
+std::string Describe(const Rule& r) {
+  return StrFormat("{kind %d body %d,%d head %d supp %zu body %zu %a %a %a}",
+                   static_cast<int>(r.kind), r.body1, r.body2, r.head,
+                   r.support, r.body_size, r.std_confidence,
+                   r.pca_confidence, r.head_coverage);
+}
+
+void ExpectSameRules(const std::vector<Rule>& mined,
+                     const std::vector<Rule>& oracle) {
+  ASSERT_EQ(mined.size(), oracle.size());
+  for (size_t i = 0; i < mined.size(); ++i) {
+    EXPECT_EQ(Describe(mined[i]), Describe(oracle[i])) << "rule " << i;
+  }
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Get().GetCounter(name).value();
+}
+
+TEST(AmieOracleTest, MatchesBruteForceMiner) {
+  AmieOptions loose = LooseOptions();
+  loose.min_confidence = 0.0;
+  loose.min_head_coverage = 0.0;
+  AmieOptions by_std = loose;
+  by_std.use_pca_confidence = false;
+  AmieOptions budget = loose;
+  budget.max_path_pairs = 300;
+  const AmieOptions defaults;
+
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const TripleStore store = RandomRuleStore(seed);
+    for (const AmieOptions& base : {loose, by_std, budget, defaults}) {
+      const std::vector<Rule> oracle = bench::NaiveMineRules(store, base);
+      for (int threads : {1, 2, 3, 4}) {
+        SCOPED_TRACE(StrFormat("seed %llu max_path_pairs %zu min_support %zu "
+                               "pca %d threads %d",
+                               static_cast<unsigned long long>(seed),
+                               base.max_path_pairs, base.min_support,
+                               static_cast<int>(base.use_pca_confidence),
+                               threads));
+        AmieOptions options = base;
+        options.threads = threads;
+        obs::Registry::Get().ResetAllForTest();
+        ExpectSameRules(MineRules(store, options), oracle);
+        EXPECT_EQ(CounterValue(obs::kAmieRulesKept), oracle.size());
+        EXPECT_EQ(CounterValue(obs::kAmieHubMediators), 1u);
+        if (base.max_path_pairs == budget.max_path_pairs) {
+          // The budget cuts the enumeration midway, not before it starts.
+          EXPECT_GT(CounterValue(obs::kAmieBudgetCutMediators), 0u);
+          EXPECT_GT(CounterValue(obs::kAmiePathPairs), 0u);
+        } else {
+          EXPECT_EQ(CounterValue(obs::kAmieBudgetCutMediators), 0u);
+        }
+      }
+    }
+    // The loose setting mines every rule shape.
+    const std::vector<Rule> rules = bench::NaiveMineRules(store, loose);
+    for (RuleBodyKind kind : {RuleBodyKind::kSame, RuleBodyKind::kInverse,
+                              RuleBodyKind::kPath}) {
+      EXPECT_TRUE(std::any_of(rules.begin(), rules.end(),
+                              [&](const Rule& r) { return r.kind == kind; }))
+          << "seed " << seed << " kind " << static_cast<int>(kind);
+    }
+  }
+  obs::Registry::Get().ResetAllForTest();
+}
+
+TEST(AmieOracleTest, DuplicateFactsCountTwice) {
+  // r1 repeats both r0 pairs, one of them twice: support 3 over 2 pairs.
+  TripleList triples = {{0, 0, 1}, {2, 0, 3}, {0, 1, 1},
+                        {2, 1, 3}, {2, 1, 3}};
+  const TripleStore store(triples, 4, 2);
+  AmieOptions options;
+  options.min_support = 1;
+  const std::vector<Rule> mined = MineRules(store, options);
+  ExpectSameRules(mined, bench::NaiveMineRules(store, options));
+  const Rule* rule = FindRule(mined, RuleBodyKind::kSame, 0, 1);
+  ASSERT_NE(rule, nullptr);
+  EXPECT_EQ(rule->support, 3u);
+  EXPECT_EQ(rule->body_size, 2u);
 }
 
 // --- SimpleRuleModel -------------------------------------------------------
