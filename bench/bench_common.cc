@@ -1,7 +1,9 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
+#include <bit>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -14,6 +16,7 @@
 #include "obs/perf_counters.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "util/check.h"
 #include "util/deadline.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -342,7 +345,8 @@ std::vector<Rule> NaiveMineRules(const TripleStore& train,
   uint64_t admitted = 0;
   for (size_t z = 0; z < num_entities; ++z) {
     const uint64_t combos = in_degree[z] * out_edges[z].size();
-    if (combos == 0 || combos > 20'000 || admitted > options.max_path_pairs) {
+    if (combos == 0 || combos > 20'000 ||
+        admitted > options.max_path_combinations) {
       continue;
     }
     eligible[z] = true;
@@ -440,9 +444,18 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
   const TopKEngine engine(predictor, options);
 
   if (cross_check) {
-    TopKOptions checked = options;
-    checked.cross_check = true;  // aborts on any engine/oracle mismatch
-    TopKEngine(predictor, checked).Run(queries, nullptr);
+    // Aborts on any bit-level engine/oracle disagreement.
+    const std::vector<TopKResult> results = engine.Run(queries, nullptr);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const TopKResult oracle =
+          TopKEngine::OracleTopK(predictor, queries[i], k, nullptr);
+      KGC_CHECK_EQ(results[i].raw.size(), oracle.raw.size());
+      for (size_t j = 0; j < oracle.raw.size(); ++j) {
+        KGC_CHECK_EQ(results[i].raw[j].entity, oracle.raw[j].entity);
+        KGC_CHECK_EQ(std::bit_cast<uint32_t>(results[i].raw[j].score),
+                     std::bit_cast<uint32_t>(oracle.raw[j].score));
+      }
+    }
     point.cross_checked = true;
   }
 

@@ -102,8 +102,8 @@ struct TopKBenchPoint {
 /// Times the engine against the per-query oracle on `queries` (unfiltered),
 /// best-of-`reps` wall clock for each side, engine pinned to one thread so
 /// the comparison is core-for-core. When `cross_check` is set, one extra
-/// (untimed) engine run executes with TopKOptions::cross_check — it aborts
-/// the process on any bit-level disagreement with the oracle.
+/// (untimed) engine run is compared with OracleTopK query by query; any
+/// bit-level disagreement aborts the process.
 TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
                                     const std::string& label,
                                     std::span<const TopKQuery> queries, int k,
@@ -123,9 +123,9 @@ std::vector<TripleRanks> NaiveRankTriples(const LinkPredictor& predictor,
 /// every r1(x,z) ^ r2(z,y) through an eligible mediator z (path). Mediators
 /// are admitted in ascending id, skipping hubs (in·out > 20000, degrees
 /// counting duplicate facts) and stopping once the admitted in·out sum
-/// exceeds max_path_pairs. For every body and head relation: support sums
-/// the head facts on each body pair (a duplicate fact counts twice); the PCA
-/// denominator counts body pairs whose x is a head subject. A rule needs
+/// exceeds max_path_combinations. For every body and head relation: support
+/// sums the head facts on each body pair (a duplicate fact counts twice); the
+/// PCA denominator counts body pairs whose x is a head subject. A rule needs
 /// support >= max(1, min_support), unary bodies at least min_support pairs,
 /// and same-direction rules a head other than their body; then the
 /// coverage and confidence thresholds apply. Sorted by confidence desc,

@@ -2,9 +2,8 @@
 // throughput per model, plus triple-store lookup costs. These are the
 // throughput primitives the whole harness is built on.
 //
-// After the google-benchmark suite, five sections write machine-readable
+// After the google-benchmark suite, four sections write machine-readable
 // JSON to BENCH_scoring.json in the working directory:
-//   - thread_scaling:    the full RankTriples sweep at 1 / 2 / N workers;
 //   - kernel_paths:      per-model ScoreTails sweeps under the generic vs
 //                        the -march native kernel dispatch path;
 //   - blocked_rank:      the blocked RankTriples sweep on TransE at
@@ -133,101 +132,6 @@ void BM_RankOneTriple(benchmark::State& state) {
   state.SetLabel(ModelTypeName(type));
 }
 BENCHMARK(BM_RankOneTriple)->Arg(0)->Arg(6)->Arg(8)->Arg(9);
-
-// --- Thread scaling --------------------------------------------------------
-
-struct ScalingPoint {
-  int threads = 0;
-  double seconds = 0.0;
-  double triples_per_sec = 0.0;
-};
-
-/// Best-of-3 wall time of a full RankTriples sweep at `threads` workers.
-ScalingPoint MeasureRankingThroughput(const KgeModel& model,
-                                      const Dataset& dataset, int threads) {
-  RankerOptions options;
-  options.threads = threads;
-  ScalingPoint point;
-  point.threads = threads;
-  point.seconds = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    const auto ranks = RankTriples(model, dataset, dataset.test(), options);
-    benchmark::DoNotOptimize(ranks.data());
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    point.seconds = std::min(point.seconds, elapsed.count());
-  }
-  point.triples_per_sec =
-      static_cast<double>(dataset.test().size()) / point.seconds;
-  return point;
-}
-
-/// Times the ranking sweep at 1 / 2 / N threads (N = the KGC_THREADS /
-/// hardware default) plus 8 as a fixed reference point, checks the outputs
-/// stay bit-identical, and writes the thread_scaling JSON section.
-int RunThreadScaling(std::ostream& out) {
-  const SyntheticKg& kg = SharedKg();
-  const auto model = MakeModel(ModelType::kDistMult);
-  // Build the filter store up front so the first timed run is not charged
-  // for it.
-  kg.dataset.all_store();
-
-  std::vector<int> thread_counts = {1, 2, DefaultThreadCount(), 8};
-  std::sort(thread_counts.begin(), thread_counts.end());
-  thread_counts.erase(
-      std::unique(thread_counts.begin(), thread_counts.end()),
-      thread_counts.end());
-
-  RankerOptions serial;
-  serial.threads = 1;
-  const auto baseline = RankTriples(*model, kg.dataset, kg.dataset.test(),
-                                    serial);
-  std::vector<ScalingPoint> points;
-  bool bit_identical = true;
-  for (int threads : thread_counts) {
-    points.push_back(MeasureRankingThroughput(*model, kg.dataset, threads));
-    RankerOptions options;
-    options.threads = threads;
-    const auto ranks = RankTriples(*model, kg.dataset, kg.dataset.test(),
-                                   options);
-    for (size_t i = 0; i < ranks.size(); ++i) {
-      if (ranks[i].head_raw != baseline[i].head_raw ||
-          ranks[i].head_filtered != baseline[i].head_filtered ||
-          ranks[i].tail_raw != baseline[i].tail_raw ||
-          ranks[i].tail_filtered != baseline[i].tail_filtered) {
-        bit_identical = false;
-      }
-    }
-  }
-
-  const double base_rate = points.front().triples_per_sec;
-  out << "  \"thread_scaling\": {\n"
-      << "    \"model\": \"" << ModelTypeName(ModelType::kDistMult) << "\",\n"
-      << "    \"bit_identical_across_thread_counts\": "
-      << (bit_identical ? "true" : "false") << ",\n"
-      << "    \"results\": [\n";
-  for (size_t i = 0; i < points.size(); ++i) {
-    out << "      {\"threads\": " << points[i].threads
-        << ", \"seconds\": " << points[i].seconds
-        << ", \"triples_per_sec\": " << points[i].triples_per_sec
-        << ", \"speedup_vs_1\": " << points[i].triples_per_sec / base_rate
-        << "}" << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  out << "    ]\n  }";
-
-  std::printf("\nthread scaling (RankTriples, %s, %zu test triples)\n",
-              ModelTypeName(ModelType::kDistMult), kg.dataset.test().size());
-  for (const ScalingPoint& p : points) {
-    std::printf("  threads=%d  %.3fs  %.0f triples/s  (%.2fx)\n", p.threads,
-                p.seconds, p.triples_per_sec, p.triples_per_sec / base_rate);
-  }
-  if (!bit_identical) {
-    std::fprintf(stderr, "ERROR: ranks differ across thread counts\n");
-    return 1;
-  }
-  return 0;
-}
 
 // --- Kernel dispatch paths -------------------------------------------------
 
@@ -591,8 +495,6 @@ int RunPostSuiteSections(bool topk_only) {
       << "  \"default_threads\": " << DefaultThreadCount() << ",\n";
   int rc = 0;
   if (!topk_only) {
-    rc = RunThreadScaling(out);
-    out << ",\n";
     RunKernelPaths(out);
     out << ",\n";
     rc |= RunBlockedRank(out);

@@ -10,7 +10,8 @@
 #   ci/sanitize.sh release      # no sanitizer: -DCMAKE_BUILD_TYPE=Release
 #                               # (-O3, NDEBUG) must build warning-clean
 #                               # and pass tier-1, on the default kernel
-#                               # path and again with KGC_KERNEL=generic
+#                               # path and again with KGC_KERNEL=generic;
+#                               # then perfbench/selftest.py
 #
 # Uses a dedicated build directory per configuration (build-sanitize,
 # build-sanitize-thread, build-release) so it never pollutes the regular
@@ -82,6 +83,12 @@ else
     echo "== tier-1 tests with KGC_KERNEL=generic =="
     KGC_KERNEL=generic ctest --test-dir "${BUILD_DIR}" --output-on-failure \
       -j "$(nproc)"
+
+    # The benchmark (perfbench/) compiles against src/ with -Werror and
+    # runs every workload's output checks in smoke mode, so an API break or
+    # a changed bit fails here instead of in a benchmark run.
+    echo "== benchmark selftest =="
+    python3 perfbench/selftest.py
   fi
 
   if [[ "${SANITIZERS}" == *address* ]]; then

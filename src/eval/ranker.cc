@@ -20,7 +20,6 @@ namespace {
 // entity itself), `*_known` over the known adjacency excluding the true
 // entity, counted with multiplicity as the store lists it.
 struct RankTally {
-  EntityId true_entity = 0;
   float s_true = 0.0f;
   size_t greater = 0;
   size_t equal = 0;
@@ -58,15 +57,14 @@ struct BlockRanker {
               const TripleList& test, const std::vector<size_t>& order,
               const std::vector<size_t>& query_start, bool tails,
               std::vector<TripleRanks>& results)
-      : predictor(predictor),
-        filter(filter),
+      : filter(filter),
         test(test),
         order(order),
         query_start(query_start),
         tails(tails),
-        results(results) {}
+        results(results),
+        sweep(predictor, kSweepTileRows) {}
 
-  const LinkPredictor& predictor;
   const TripleStore& filter;
   const TripleList& test;
   const std::vector<size_t>& order;
@@ -75,33 +73,34 @@ struct BlockRanker {
   const bool tails;
   std::vector<TripleRanks>& results;
 
-  bool described = false;
-  bool sweepable = false;
-  RelationId relation = 0;
-  SweepSpec spec;
-  std::vector<float> coef;
-  std::vector<float> v;
-  std::vector<float> qbuf;
-  std::vector<float> out;
-  std::vector<float> scores;
+  SweepExecutor sweep;
+  std::vector<EntityId> anchors;
   std::vector<float> known_scores;
   std::vector<RankTally> tallies;  // the block's triples, in `order` order
 
-  // Ranks the triples of unique queries [q0, q1).
+  // Ranks the triples of unique queries [q0, q1): sets each triple's s_true
+  // and known-fact correction from single scores, then counts candidates
+  // tile by tile while each tile is hot.
   void RankBlock(size_t q0, size_t q1) {
     const size_t first = query_start[q0];
     const size_t last = query_start[q1];
-    Describe(test[order[first]].relation);
     tallies.assign(last - first, RankTally{});
-    for (size_t i = first; i < last; ++i) {
-      const Triple& triple = test[order[i]];
-      tallies[i - first].true_entity = tails ? triple.tail : triple.head;
+    anchors.clear();
+    for (size_t q = q0; q < q1; ++q) {
+      const Triple& lead = test[order[query_start[q]]];
+      anchors.push_back(tails ? lead.head : lead.tail);
     }
-    if (sweepable) {
-      SweepQueries(q0, q1);
-    } else {
-      for (size_t q = q0; q < q1; ++q) ScoreQuery(q0, q);
-    }
+    sweep.Load(tails, test[order[first]].relation, anchors);
+    for (size_t a = 0; a < anchors.size(); ++a) ScoreTrueAndKnown(q0, a);
+    sweep.ForEachTile([&](size_t /*first*/, size_t count, const float* scores,
+                          size_t stride) {
+      for (size_t a = 0; a < anchors.size(); ++a) {
+        for (size_t i = query_start[q0 + a]; i < query_start[q0 + a + 1];
+             ++i) {
+          CountAbove(scores + a * stride, count, &tallies[i - first]);
+        }
+      }
+    });
     for (size_t i = first; i < last; ++i) {
       const size_t idx = order[i];
       TripleRanks& ranks = results[idx];
@@ -114,105 +113,28 @@ struct BlockRanker {
     }
   }
 
-  EntityId Anchor(size_t q) const {
-    const Triple& t = test[order[query_start[q]]];
-    return tails ? t.head : t.tail;
-  }
-
-  RankTally& Tally(size_t q0, size_t i) {
-    return tallies[i - query_start[q0]];
-  }
-
-  // Describes the sweep of `r` unless this shard already holds it. coef/v
-  // may alias model scratch that BuildSweepQuery clobbers, so the spec
-  // points at copies; rows/bias stay put while the relation does.
-  void Describe(RelationId r) {
-    if (described && r == relation) return;
-    described = true;
-    relation = r;
-    spec = SweepSpec{};
-    sweepable = predictor.DescribeSweep(tails, r, &spec) &&
-                spec.kind != SweepKind::kNone;
-    if (!sweepable) return;
-    if (spec.coef != nullptr) {
-      coef.assign(spec.coef, spec.coef + spec.num_rows);
-      spec.coef = coef.data();
-    }
-    if (spec.v != nullptr) {
-      v.assign(spec.v, spec.v + spec.dim);
-      spec.v = v.data();
-    }
-  }
-
-  // Sets s_true of query q's triples (block starting at query q0) and adds
-  // their known-adjacency correction, scoring entities with `score_of`.
-  template <typename ScoreOf>
-  void ScoreTrueAndKnown(size_t q0, size_t q, ScoreOf score_of) {
+  // Sets s_true of the triples of the block's query a (the block starts at
+  // unique query q0) and adds their known-adjacency correction.
+  void ScoreTrueAndKnown(size_t q0, size_t a) {
+    const size_t q = q0 + a;
     const Triple& lead = test[order[query_start[q]]];
     const std::span<const EntityId> known =
         tails ? filter.Tails(lead.head, lead.relation)
               : filter.Heads(lead.relation, lead.tail);
     known_scores.resize(known.size());
     for (size_t k = 0; k < known.size(); ++k) {
-      known_scores[k] = score_of(known[k]);
+      known_scores[k] = sweep.Score(a, known[k]);
     }
     for (size_t i = query_start[q]; i < query_start[q + 1]; ++i) {
-      RankTally& t = Tally(q0, i);
-      t.s_true = score_of(t.true_entity);
+      RankTally& t = tallies[i - query_start[q0]];
+      const Triple& triple = test[order[i]];
+      const EntityId truth = tails ? triple.tail : triple.head;
+      t.s_true = sweep.Score(a, truth);
       for (size_t k = 0; k < known.size(); ++k) {
-        if (known[k] == t.true_entity) continue;
+        if (known[k] == truth) continue;
         t.greater_known += known_scores[k] > t.s_true;
         t.equal_known += known_scores[k] == t.s_true;
       }
-    }
-  }
-
-  // Kernel path: build the block's queries, score the true and known
-  // entities one row each, then sweep the table tile by tile and count
-  // each triple's candidates while the tile is hot.
-  void SweepQueries(size_t q0, size_t q1) {
-    const size_t nq = q1 - q0;
-    const size_t qlen = spec.query_len;
-    qbuf.resize(nq * qlen);
-    for (size_t a = 0; a < nq; ++a) {
-      float* q = qbuf.data() + a * qlen;
-      predictor.BuildSweepQuery(tails, relation, Anchor(q0 + a),
-                                std::span<float>(q, qlen));
-      ScoreTrueAndKnown(q0, q0 + a, [&](EntityId e) {
-        float score;
-        SweepRows(spec, q, static_cast<size_t>(e), 1, &score);
-        return score;
-      });
-    }
-    out.resize(kSweepQueryBlock * kSweepTileRows);
-    for (size_t base = 0; base < spec.num_rows; base += kSweepTileRows) {
-      const size_t tile_n = std::min(kSweepTileRows, spec.num_rows - base);
-      SweepBlock(spec, qbuf.data(), qlen, nq, base, tile_n, out.data(),
-                 tile_n);
-      for (size_t a = 0; a < nq; ++a) {
-        float* row = out.data() + a * tile_n;
-        SweepEpilogue(spec, base, tile_n, row);
-        for (size_t i = query_start[q0 + a]; i < query_start[q0 + a + 1];
-             ++i) {
-          CountAbove(row, tile_n, &Tally(q0, i));
-        }
-      }
-    }
-  }
-
-  // Full-vector path for predictors without a kernel sweep (rule models).
-  void ScoreQuery(size_t q0, size_t q) {
-    scores.resize(static_cast<size_t>(predictor.num_entities()));
-    if (tails) {
-      predictor.ScoreTails(Anchor(q), relation, scores);
-    } else {
-      predictor.ScoreHeads(relation, Anchor(q), scores);
-    }
-    ScoreTrueAndKnown(q0, q, [&](EntityId e) {
-      return scores[static_cast<size_t>(e)];
-    });
-    for (size_t i = query_start[q]; i < query_start[q + 1]; ++i) {
-      CountAbove(scores.data(), scores.size(), &Tally(q0, i));
     }
   }
 };

@@ -31,13 +31,13 @@ struct RankerOptions {
 /// candidates), each sorted by (relation, anchor entity) so that triples
 /// sharing a query are adjacent and per-relation model caches (TransR)
 /// amortize their projections. The unique queries are cut into blocks of
-/// at most kSweepQueryBlock of one relation (link_predictor.h) and swept
-/// through SweepBlock tile by tile; each triple's rank is counted against
-/// its true entity's score while the tile is hot, so no per-query score
-/// vector exists. The true and known-fact scores come from one-row
-/// SweepRows calls, which reproduce the sweep's bits; known facts count
-/// with the multiplicity the filter store lists them. Predictors without a
-/// kernel sweep (rule models) are counted over their full Score* vector.
+/// at most kSweepQueryBlock of one relation and handed to a SweepExecutor
+/// (kg/link_predictor.h); each triple's rank is counted against its true
+/// entity's score tile by tile while the tile is hot. The true and
+/// known-fact scores come from the executor's single-candidate Score, which
+/// reproduces the tiles' bits; known facts count with the multiplicity the
+/// filter store lists them. Predictors without a kernel sweep (rule models)
+/// go through the same executor, which reads their full Score* vectors.
 /// Blocks are statically sharded across threads and never split, so ranks
 /// *and* all telemetry counters (score_evals, query_cache_hits/misses) are
 /// bit-identical for any thread count and either kernel path.

@@ -1,10 +1,9 @@
 // Top-K retrieval engine implementation. See topk.h for the contract and
-// DESIGN.md "Top-K retrieval" for the blocking scheme.
+// DESIGN.md "Blocked sweep" for the executor it runs on.
 
 #include "eval/topk.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -91,11 +90,10 @@ inline uint64_t FilterKey(bool tails, RelationId r, EntityId anchor,
                : PackTriple(candidate, r, anchor);
 }
 
-// Full Score* sweep with heap selection: the oracle, the cross-check
-// reference, and the fallback for models without a kernel sweep.
+// Full Score* sweep with heap selection: the oracle Run is compared with.
 TopKResult FullSweepTopK(const LinkPredictor& predictor,
                          const TopKQuery& query, int k,
-                         const TripleStore* filter, Tally* tally) {
+                         const TripleStore* filter) {
   const size_t n = static_cast<size_t>(predictor.num_entities());
   const size_t kk = static_cast<size_t>(k);
   std::vector<float> scores(n);
@@ -104,186 +102,124 @@ TopKResult FullSweepTopK(const LinkPredictor& predictor,
   } else {
     predictor.ScoreHeads(query.relation, query.anchor, scores);
   }
-  uint64_t pushes = 0;
-  TopKResult result;
   BoundedHeap raw(kk);
+  BoundedHeap filt(kk);
   for (size_t e = 0; e < n; ++e) {
-    if (raw.Push(scores[e], static_cast<EntityId>(e))) ++pushes;
-  }
-  if (filter != nullptr) {
-    BoundedHeap filt(kk);
-    std::vector<uint64_t> keys;
-    std::vector<std::pair<EntityId, float>> cands;
-    std::vector<uint8_t> found;
-    constexpr size_t kProbeBatch = 1024;
-    auto flush = [&] {
-      if (keys.empty()) return;
-      found.resize(keys.size());
-      filter->ContainsBatch(keys, found.data());
-      for (size_t j = 0; j < keys.size(); ++j) {
-        if (found[j]) continue;
-        if (filt.Push(cands[j].second, cands[j].first)) ++pushes;
-      }
-      keys.clear();
-      cands.clear();
-    };
-    for (size_t e = 0; e < n; ++e) {
-      const EntityId ent = static_cast<EntityId>(e);
-      if (!filt.WouldAccept(scores[e], ent)) continue;
-      keys.push_back(FilterKey(query.tails, query.relation, query.anchor, ent));
-      cands.emplace_back(ent, scores[e]);
-      if (keys.size() >= kProbeBatch) flush();
+    const EntityId ent = static_cast<EntityId>(e);
+    raw.Push(scores[e], ent);
+    if (filter != nullptr &&
+        !filter->ContainsPacked(
+            FilterKey(query.tails, query.relation, query.anchor, ent))) {
+      filt.Push(scores[e], ent);
     }
-    flush();
-    result.filtered = std::move(filt).Sorted();
   }
+  TopKResult result;
   result.raw = std::move(raw).Sorted();
-  if (filter == nullptr) result.filtered = result.raw;
+  result.filtered = filter != nullptr ? std::move(filt).Sorted() : result.raw;
   result.watch_scores.reserve(query.watch.size());
   for (EntityId w : query.watch) {
     result.watch_scores.push_back(scores[static_cast<size_t>(w)]);
   }
-  if (tally != nullptr) {
-    tally->entities_scored += n;
-    tally->heap_pushes += pushes;
-  }
   return result;
 }
 
-inline uint32_t Bits(float f) { return std::bit_cast<uint32_t>(f); }
-
-void CheckEntriesEqual(const std::vector<TopKEntry>& fast,
-                       const std::vector<TopKEntry>& oracle) {
-  KGC_CHECK_EQ(fast.size(), oracle.size());
-  for (size_t j = 0; j < fast.size(); ++j) {
-    KGC_CHECK_EQ(fast[j].entity, oracle[j].entity);
-    KGC_CHECK_EQ(Bits(fast[j].score), Bits(oracle[j].score));
-  }
-}
-
-void CheckAgainstOracle(const LinkPredictor& predictor,
-                        const TopKQuery& query, int k,
-                        const TripleStore* filter, const TopKResult& fast) {
-  const TopKResult oracle =
-      FullSweepTopK(predictor, query, k, filter, nullptr);
-  CheckEntriesEqual(fast.raw, oracle.raw);
-  CheckEntriesEqual(fast.filtered, oracle.filtered);
-  KGC_CHECK_EQ(fast.watch_scores.size(), oracle.watch_scores.size());
-  for (size_t j = 0; j < fast.watch_scores.size(); ++j) {
-    KGC_CHECK_EQ(Bits(fast.watch_scores[j]), Bits(oracle.watch_scores[j]));
-  }
-}
-
-// Processes whole (direction, relation) groups on one shard. All per-group
-// buffers live here and are reused across the shard's groups.
+// Processes whole (direction, relation) groups on one shard, in blocks of
+// kSweepQueryBlock queries. All per-block buffers live here and are reused.
 class GroupRunner {
  public:
   GroupRunner(const LinkPredictor& predictor, const TopKOptions& options,
               std::span<const TopKQuery> queries, const TripleStore* filter,
               std::vector<TopKResult>* results, Tally* tally)
-      : predictor_(predictor),
-        options_(options),
+      : k_(static_cast<size_t>(options.k)),
         queries_(queries),
         filter_(filter),
         results_(results),
-        tally_(tally) {}
+        tally_(tally),
+        sweep_(predictor, static_cast<size_t>(options.tile_rows)) {}
 
   void ProcessGroup(const size_t* order, size_t count) {
-    order_ = order;
-    const TopKQuery& first = queries_[order[0]];
-    tails_ = first.tails;
-    relation_ = first.relation;
-    SweepSpec spec;
-    if (!predictor_.DescribeSweep(tails_, relation_, &spec) ||
-        spec.kind == SweepKind::kNone) {
-      for (size_t i = 0; i < count; ++i) {
-        (*results_)[order[i]] = FullSweepTopK(predictor_, queries_[order[i]],
-                                              options_.k, filter_, tally_);
-      }
-      return;
-    }
-    const size_t qlen = spec.query_len;
-    const size_t kk = static_cast<size_t>(options_.k);
-    // coef/v may alias model scratch the BuildSweepQuery calls below
-    // clobber — point the spec at copies. rows/bias alias storage that
-    // stays put for the whole group (for TransR, a thread-local buffer this
-    // thread keeps pointed at this relation).
-    if (spec.coef != nullptr) {
-      coef_.assign(spec.coef, spec.coef + spec.num_rows);
-      spec.coef = coef_.data();
-    }
-    if (spec.v != nullptr) {
-      v_.assign(spec.v, spec.v + spec.dim);
-      spec.v = v_.data();
-    }
-
-    qbuf_.resize(count * qlen);
-    for (size_t i = 0; i < count; ++i) {
-      predictor_.BuildSweepQuery(
-          tails_, relation_, queries_[order[i]].anchor,
-          std::span<float>(qbuf_.data() + i * qlen, qlen));
-    }
-    tally_->queries_batched += count;
-
-    for (size_t i = 0; i < count; ++i) {
-      const TopKQuery& q = queries_[order[i]];
-      auto& watch_out = (*results_)[order[i]].watch_scores;
-      watch_out.resize(q.watch.size());
-      for (size_t w = 0; w < q.watch.size(); ++w) {
-        SweepRows(spec, qbuf_.data() + i * qlen,
-                  static_cast<size_t>(q.watch[w]), 1, &watch_out[w]);
-      }
-    }
-
-    std::vector<BoundedHeap> raw(count, BoundedHeap(kk));
-    std::vector<BoundedHeap> filt;
-    if (filter_) filt.assign(count, BoundedHeap(kk));
-
-    // Blocked sweep over the table in natural order: each tile is streamed
-    // once per block of queries.
-    const size_t tile_rows = static_cast<size_t>(options_.tile_rows);
-    const size_t query_block = static_cast<size_t>(options_.query_block);
-    out_.resize(query_block * tile_rows);
-    for (size_t qb = 0; qb < count; qb += query_block) {
-      const size_t bq = std::min(query_block, count - qb);
-      for (size_t base = 0; base < spec.num_rows; base += tile_rows) {
-        const size_t tile_n = std::min(tile_rows, spec.num_rows - base);
-        SweepBlock(spec, qbuf_.data() + qb * qlen, qlen, bq, base, tile_n,
-                   out_.data(), tile_n);
-        ScanTile(spec, qb, bq, tile_n, base, raw, filt);
-      }
-    }
-
-    for (size_t i = 0; i < count; ++i) {
-      TopKResult& result = (*results_)[order[i]];
-      result.raw = std::move(raw[i]).Sorted();
-      result.filtered = filter_ ? std::move(filt[i]).Sorted() : result.raw;
-    }
-    if (options_.cross_check) {
-      for (size_t i = 0; i < count; ++i) {
-        CheckAgainstOracle(predictor_, queries_[order[i]], options_.k,
-                           filter_, (*results_)[order[i]]);
-      }
+    for (size_t qb = 0; qb < count; qb += kSweepQueryBlock) {
+      ProcessBlock(order + qb, std::min(kSweepQueryBlock, count - qb));
     }
   }
 
  private:
   struct Candidate {
-    uint32_t query;  // local index within the group
+    uint32_t query;  // index within the block
     EntityId entity;
     float score;
   };
 
-  // Flushes the deferred filtered-heap candidates of one (block, tile):
-  // one batched membership probe, then survivors re-checked against the
-  // (possibly tightened) threshold by Push itself.
-  void ProbeAndPush(std::vector<BoundedHeap>& filt) {
+  // Retrieves the `count` queries order[0..count) of one (direction,
+  // relation): watch scores one candidate each, then every tile of the
+  // sweep, each query's candidates pushed in ascending entity order.
+  void ProcessBlock(const size_t* order, size_t count) {
+    order_ = order;
+    const TopKQuery& lead = queries_[order[0]];
+    tails_ = lead.tails;
+    relation_ = lead.relation;
+    anchors_.clear();
+    for (size_t i = 0; i < count; ++i) {
+      anchors_.push_back(queries_[order[i]].anchor);
+    }
+    sweep_.Load(tails_, relation_, anchors_);
+    if (sweep_.kernel()) tally_->queries_batched += count;
+    for (size_t i = 0; i < count; ++i) {
+      const TopKQuery& q = queries_[order[i]];
+      auto& watch_out = (*results_)[order[i]].watch_scores;
+      watch_out.resize(q.watch.size());
+      for (size_t w = 0; w < q.watch.size(); ++w) {
+        watch_out[w] = sweep_.Score(i, q.watch[w]);
+      }
+    }
+
+    raw_.assign(count, BoundedHeap(k_));
+    if (filter_) filt_.assign(count, BoundedHeap(k_));
+    sweep_.ForEachTile([&](size_t first, size_t n, const float* scores,
+                           size_t stride) {
+      ScanTile(first, n, scores, stride, count);
+    });
+
+    for (size_t i = 0; i < count; ++i) {
+      TopKResult& result = (*results_)[order[i]];
+      result.raw = std::move(raw_[i]).Sorted();
+      result.filtered = filter_ ? std::move(filt_[i]).Sorted() : result.raw;
+    }
+  }
+
+  // Pushes one tile (candidates [first, first + n), row a of `scores` for
+  // block query a) into the raw heaps, and defers filtered-heap candidates
+  // to one batched membership probe for the whole tile.
+  void ScanTile(size_t first, size_t n, const float* scores, size_t stride,
+                size_t count) {
+    for (size_t a = 0; a < count; ++a) {
+      const uint32_t q = static_cast<uint32_t>(a);
+      const float* row = scores + a * stride;
+      for (size_t i = 0; i < n; ++i) {
+        const EntityId ent = static_cast<EntityId>(first + i);
+        const float score = row[i];
+        if (raw_[q].Push(score, ent)) ++tally_->heap_pushes;
+        if (filter_ && filt_[q].WouldAccept(score, ent)) {
+          cands_.push_back({q, ent, score});
+          keys_.push_back(FilterKey(tails_, relation_,
+                                    queries_[order_[q]].anchor, ent));
+        }
+      }
+    }
+    tally_->entities_scored += count * n;
+    if (filter_) ProbeAndPush();
+  }
+
+  // Flushes the deferred filtered-heap candidates of one tile: one batched
+  // membership probe, then survivors re-checked against the (possibly
+  // tightened) threshold by Push itself.
+  void ProbeAndPush() {
     if (cands_.empty()) return;
     found_.resize(keys_.size());
     filter_->ContainsBatch(keys_, found_.data());
     for (size_t j = 0; j < cands_.size(); ++j) {
       if (found_[j]) continue;
-      if (filt[cands_[j].query].Push(cands_[j].score, cands_[j].entity)) {
+      if (filt_[cands_[j].query].Push(cands_[j].score, cands_[j].entity)) {
         ++tally_->heap_pushes;
       }
     }
@@ -291,45 +227,20 @@ class GroupRunner {
     keys_.clear();
   }
 
-  // Scans one tile's kernel output (out_, one row of tile_n values per
-  // query) for the group-local queries [qb, qb + bq).
-  void ScanTile(const SweepSpec& spec, size_t qb, size_t bq, size_t tile_n,
-                size_t base, std::vector<BoundedHeap>& raw,
-                std::vector<BoundedHeap>& filt) {
-    for (size_t a = 0; a < bq; ++a) {
-      const uint32_t q = static_cast<uint32_t>(qb + a);
-      float* row = out_.data() + a * tile_n;
-      SweepEpilogue(spec, base, tile_n, row);
-      for (size_t i = 0; i < tile_n; ++i) {
-        const EntityId ent = static_cast<EntityId>(base + i);
-        const float score = row[i];
-        if (raw[q].Push(score, ent)) ++tally_->heap_pushes;
-        if (filter_ && filt[q].WouldAccept(score, ent)) {
-          cands_.push_back({q, ent, score});
-          keys_.push_back(FilterKey(tails_, relation_,
-                                    queries_[order_[q]].anchor, ent));
-        }
-      }
-    }
-    tally_->entities_scored += bq * tile_n;
-    if (filter_) ProbeAndPush(filt);
-  }
-
-  const LinkPredictor& predictor_;
-  const TopKOptions& options_;
+  const size_t k_;
   std::span<const TopKQuery> queries_;
   const TripleStore* filter_;
   std::vector<TopKResult>* results_;
   Tally* tally_;
+  SweepExecutor sweep_;
 
-  // Per-group state.
+  // Per-block state.
   const size_t* order_ = nullptr;
   bool tails_ = true;
   RelationId relation_ = 0;
-  std::vector<float> coef_;
-  std::vector<float> v_;
-  std::vector<float> qbuf_;
-  std::vector<float> out_;
+  std::vector<EntityId> anchors_;
+  std::vector<BoundedHeap> raw_;
+  std::vector<BoundedHeap> filt_;
   std::vector<Candidate> cands_;
   std::vector<uint64_t> keys_;
   std::vector<uint8_t> found_;
@@ -341,7 +252,6 @@ TopKEngine::TopKEngine(const LinkPredictor& predictor,
                        const TopKOptions& options)
     : predictor_(predictor), options_(options) {
   KGC_CHECK_GT(options_.k, 0);
-  KGC_CHECK_GT(options_.query_block, 0);
   KGC_CHECK_GT(options_.tile_rows, 0);
 }
 
@@ -352,8 +262,9 @@ std::vector<TopKResult> TopKEngine::Run(std::span<const TopKQuery> queries,
   if (queries.empty()) return results;
 
   // Same-(direction, relation) queries share one sweep description and one
-  // set of blocked kernel calls, so adjacency is the whole game. The sort is stable and groups are sharded whole, which
-  // keeps results and counters bit-identical across thread counts.
+  // set of blocked kernel calls, so adjacency is the whole game. The sort
+  // is stable and groups are sharded whole, which keeps results and
+  // counters bit-identical across thread counts.
   std::vector<size_t> order(queries.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -409,7 +320,7 @@ TopKResult TopKEngine::OracleTopK(const LinkPredictor& predictor,
                                   const TopKQuery& query, int k,
                                   const TripleStore* filter) {
   KGC_CHECK_GT(k, 0);
-  return FullSweepTopK(predictor, query, k, filter, nullptr);
+  return FullSweepTopK(predictor, query, k, filter);
 }
 
 }  // namespace kgc

@@ -1,13 +1,13 @@
 // Top-K retrieval fast path (DESIGN.md "Top-K retrieval").
 //
 // Answers "which K entities score best for this query" without
-// materializing the full score vector the ranking protocol sweeps. Two
-// mechanisms stack:
+// materializing the full score vector the ranking protocol sweeps:
 //
-//   1. Blocked multi-query sweeps — queries that share a (direction,
-//      relation) group are scored in blocks against entity-table tiles
-//      through the *_rows_block vecmath kernels, so each embedding row is
-//      streamed through cache once per tile instead of once per query.
+//   1. Blocked sweeps — queries that share a (direction, relation) group
+//      go through a SweepExecutor (kg/link_predictor.h) in blocks of
+//      kSweepQueryBlock, so each embedding row is streamed through cache
+//      once per tile per block instead of once per query. The ranker runs
+//      on the same executor.
 //   2. Bounded per-query heaps — a K-entry heap ordered by
 //      (score desc, entity asc) replaces the full score vector; the
 //      entity-id tie-break makes results a pure function of the model, so
@@ -15,10 +15,9 @@
 //
 // Every per-(query, row) score is produced by the same fixed-order kernel
 // reduction and the same SweepEpilogue as ScoreTails/ScoreHeads, so the
-// fast path's top-K lists equal the truncated full ranking bit for bit;
-// TopKOptions::cross_check asserts exactly that against the oracle inside
-// Run. Models without a kernel sweep (DescribeSweep == false, e.g. rule
-// predictors) fall back to the full Score* sweep with heap selection —
+// top-K lists equal the truncated full ranking (OracleTopK) bit for bit.
+// Models without a kernel sweep (DescribeSweep == false, e.g. rule
+// predictors) take the same path over their full Score* vectors —
 // correct, just not fast.
 
 #ifndef KGC_EVAL_TOPK_H_
@@ -35,11 +34,6 @@ namespace kgc {
 struct TopKOptions {
   /// Entries kept per query (raw and filtered lists each).
   int k = 10;
-  /// Assert fast top-K == oracle truncated ranking (lists, scores, watch
-  /// scores) for every query inside Run. Expensive: runs the full sweep.
-  bool cross_check = false;
-  /// Queries scored per blocked kernel call.
-  int query_block = static_cast<int>(kSweepQueryBlock);
   /// Entity rows per tile.
   int tile_rows = static_cast<int>(kSweepTileRows);
   /// Worker threads (0 = KGC_THREADS / hardware default). Results and

@@ -3,22 +3,28 @@
 // Both latent-feature models (embeddings; models/) and observed-feature
 // models (rules; rules/) implement this interface, so the evaluation
 // harness treats them uniformly -- exactly the comparison the paper makes.
+//
+// SweepExecutor is the one blocked sweep over that interface. The ranker
+// (eval/ranker.h) and the top-K engine (eval/topk.h) both hand it blocks of
+// anchors and consume its score tiles, so every rank and every top-K list
+// comes from the same scores.
 
 #ifndef KGC_KG_LINK_PREDICTOR_H_
 #define KGC_KG_LINK_PREDICTOR_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "kg/triple.h"
 
 namespace kgc {
 
 /// The per-(query, row) kernel shape a model's sweep reduces to. Embedding
-/// models' ScoreTails/ScoreHeads (SweepRows) and the blocked executors —
-/// the top-K engine (eval/topk.h) and the ranker (eval/ranker.h), both
-/// through SweepBlock — share the per-row reduction and SweepEpilogue, so
-/// they agree bit for bit.
+/// models' ScoreTails/ScoreHeads (SweepRows) and SweepExecutor (SweepBlock)
+/// share the per-row reduction and SweepEpilogue, so they agree bit for
+/// bit.
 enum class SweepKind {
   kNone = 0,   // no kernel sweep; the predictor implements Score* itself
   kDot,        // score = dot(q, row) (+ optional per-row bias)
@@ -33,8 +39,8 @@ enum class SweepKind {
 /// query vector against every candidate row with vecmath kernels. Pointers
 /// alias model-owned (possibly thread-local) storage; they stay valid on the
 /// calling thread until the model's next DescribeSweep/Score* call, so the
-/// caller must copy what it needs to keep (the engine copies `coef`
-/// immediately and reads `rows` only within one Run).
+/// caller must copy what it needs to keep (SweepExecutor copies `coef` and
+/// `v` immediately and reads `rows` only until it describes again).
 struct SweepSpec {
   SweepKind kind = SweepKind::kNone;
   const float* rows = nullptr;  // candidate table, row e = entity e
@@ -66,12 +72,12 @@ void SweepBlock(const SweepSpec& spec, const float* qs, size_t q_stride,
                 size_t out_stride);
 
 /// Turns raw kernel values of rows [first, first + count) into scores in
-/// place: += bias[e], then negate for distances. SweepRows applies it; the
-/// blocked executors apply it to each query's row of SweepBlock output.
+/// place: += bias[e], then negate for distances. SweepRows applies it;
+/// SweepExecutor applies it to each query's row of SweepBlock output.
 void SweepEpilogue(const SweepSpec& spec, size_t first, size_t count,
                    float* out);
 
-/// The blocked executors' shape: queries per SweepBlock call and candidate
+/// The blocked sweep's shape: anchors per SweepBlock call and candidate
 /// rows per tile (8 × 256 floats of output stay cache-resident while they
 /// are consumed).
 inline constexpr size_t kSweepQueryBlock = 8;
@@ -98,7 +104,7 @@ class LinkPredictor {
   /// Describes the kernel sweep behind ScoreTails (tails=true) or ScoreHeads
   /// (tails=false) for relation r. Returns false (the default) when the
   /// predictor has no kernel-shaped sweep — rule models, say — in which
-  /// case the top-K engine falls back to the full Score* path.
+  /// case SweepExecutor reads the full Score* vectors instead.
   virtual bool DescribeSweep(bool tails, RelationId r,
                              SweepSpec* spec) const {
     (void)tails;
@@ -117,6 +123,68 @@ class LinkPredictor {
     (void)anchor;
     (void)q;
   }
+};
+
+/// Scores a block of up to kSweepQueryBlock anchors of one (direction,
+/// relation) against every candidate entity. Load describes the sweep
+/// (only when the direction or relation changed since the last Load) and
+/// builds the anchors' queries; Score gives one exact candidate score;
+/// ForEachTile visits all scores tile by tile in ascending entity order.
+///
+/// With a kernel sweep the tiles come from SweepBlock + SweepEpilogue and
+/// single scores from one-row SweepRows, which agree bit for bit. Without
+/// one (DescribeSweep false, or kNone), Load fills each anchor's full
+/// ScoreTails/ScoreHeads vector and both calls read from it.
+///
+/// Use an executor on one thread only: a description may point at
+/// thread-local model storage (TransR's projected entities) that a
+/// DescribeSweep of another relation on the same thread would overwrite.
+class SweepExecutor {
+ public:
+  SweepExecutor(const LinkPredictor& predictor, size_t tile_rows);
+
+  /// Loads 1..kSweepQueryBlock anchors of the tails (or heads) sweep of
+  /// relation r.
+  void Load(bool tails, RelationId r, std::span<const EntityId> anchors);
+
+  /// True when the loaded sweep runs on the blocked kernels, false when it
+  /// reads full Score* vectors.
+  bool kernel() const { return kernel_; }
+
+  /// Exact score of candidate e for loaded anchor a.
+  float Score(size_t a, EntityId e) const;
+
+  /// Calls visit(first, count, scores, stride) for each tile of candidates
+  /// [first, first + count), in ascending order: scores[a * stride + i] is
+  /// loaded anchor a's score of entity first + i.
+  template <typename Visit>
+  void ForEachTile(Visit&& visit) {
+    for (size_t first = 0; first < num_rows_; first += tile_rows_) {
+      const size_t count = std::min(tile_rows_, num_rows_ - first);
+      const float* scores = Tile(first, count);
+      visit(first, count, scores, kernel_ ? count : num_rows_);
+    }
+  }
+
+ private:
+  // Scores of every loaded anchor for rows [first, first + count).
+  const float* Tile(size_t first, size_t count);
+
+  const LinkPredictor& predictor_;
+  const size_t tile_rows_;
+  bool described_ = false;
+  bool tails_ = true;
+  RelationId relation_ = 0;
+  bool kernel_ = false;
+  SweepSpec spec_;
+  size_t num_rows_ = 0;
+  size_t num_anchors_ = 0;
+  std::vector<float> coef_;
+  std::vector<float> v_;
+  // Kernel path: the loaded anchors' queries and one tile of scores per
+  // anchor. Otherwise: the anchors' full score vectors in scores_.
+  std::vector<float> queries_;
+  std::vector<float> scores_;
 };
 
 }  // namespace kgc

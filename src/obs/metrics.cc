@@ -89,8 +89,8 @@ Registry::Registry() {
         kSnapshotBatchesQuarantined, kSnapshotDeltaTriples,
         kSnapshotColdStarts, kSnapshotReaderSwaps, kSnapshotRepinRetries,
         kServeRequests, kServeRepliesOk, kServeShed, kServeDeadlineExceeded,
-        kServeMalformed, kServeDegraded, kServeSlowClientDrops,
-        kServeConnsAccepted, kServeConnsRejected, kServeDrained}) {
+        kServeMalformed, kServeSlowClientDrops, kServeConnsAccepted,
+        kServeConnsRejected, kServeDrained}) {
     counters_.emplace(name, std::make_unique<Counter>());
   }
   gauges_.emplace(kTrainerLastLoss, std::make_unique<Gauge>());

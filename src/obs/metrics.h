@@ -189,7 +189,7 @@ inline constexpr char kAmieRulesKept[] = "kgc.amie.rules_kept";
 // Rule-miner path enumeration (rules/amie, see EXPERIMENTS.md): distinct
 // (x, y) pairs over all two-hop bodies, and the mediator entities the
 // enumeration left out — hubs (in·out > 20000) and those past the
-// max_path_pairs budget. Pure functions of the store and the options.
+// max_path_combinations budget. Pure functions of the store and the options.
 inline constexpr char kAmiePathPairs[] = "kgc.amie.path_pairs";
 inline constexpr char kAmieHubMediators[] = "kgc.amie.hub_mediators";
 inline constexpr char kAmieBudgetCutMediators[] =
@@ -240,7 +240,6 @@ inline constexpr char kServeShed[] = "kgc.serve.shed";
 inline constexpr char kServeDeadlineExceeded[] =
     "kgc.serve.deadline_exceeded";
 inline constexpr char kServeMalformed[] = "kgc.serve.malformed";
-inline constexpr char kServeDegraded[] = "kgc.serve.degraded";
 inline constexpr char kServeSlowClientDrops[] =
     "kgc.serve.slow_client_drops";
 inline constexpr char kServeConnsAccepted[] =

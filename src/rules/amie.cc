@@ -266,7 +266,7 @@ std::vector<Rule> MineRules(const TripleStore& train,
 
   // Eligible mediators, a pure function of the degrees: walk ascending,
   // skip hubs, and stop admitting once the admitted in·out combinations
-  // exceed max_path_pairs.
+  // exceed max_path_combinations.
   std::vector<uint8_t> eligible(num_entities, 0);
   uint64_t admitted_combos = 0;
   size_t hub_mediators = 0;
@@ -277,7 +277,7 @@ std::vector<Rule> MineRules(const TripleStore& train,
     if (combos == 0) continue;
     if (combos > kMaxCombosPerEntity) {
       ++hub_mediators;
-    } else if (admitted_combos > options.max_path_pairs) {
+    } else if (admitted_combos > options.max_path_combinations) {
       ++budget_cut_mediators;
     } else {
       eligible[z] = 1;

@@ -30,13 +30,9 @@ struct AmieOptions {
   /// to a running sum, and once that sum exceeds this value no further
   /// mediator is admitted. A pure function of the degrees; on the shipped
   /// inputs (at most ~1.9M combinations) it never binds.
-  size_t max_path_pairs = 2'000'000;
+  size_t max_path_combinations = 2'000'000;
   /// Rank candidates by PCA confidence (true, AMIE+'s default) or standard.
   bool use_pca_confidence = true;
-  /// Accepted for callers that set a thread count everywhere; mining is one
-  /// serial pass over flat sorted arrays (DESIGN.md "Rule mining"), so the
-  /// mined rule list is the same for any value.
-  int threads = 0;
 };
 
 /// Mines rules from `train`. Rules come out ordered by confidence (PCA or

@@ -21,8 +21,8 @@
 //
 //   u8  version
 //   u8  status  (ReplyStatus)
-//   u8  flags   (bit 0: kReplyFlagDegraded — answered by the oracle sweep,
-//               not the blocked fast path)
+//   u8  flags   (bit 0: kReplyFlagDegraded — defined by v1 for a reply
+//               not answered by the blocked sweep; the server never sets it)
 //   u64 id
 //   i64 generation   snapshot generation that answered (-1 when none)
 //   -- kOk + kTopK:     u32 n, then n x { u32 entity, u32 score_bits }

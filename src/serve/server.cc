@@ -26,12 +26,6 @@ int EnvInt(const char* name, int fallback) {
   return std::atoi(value);
 }
 
-bool EnvBool(const char* name, bool fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "false") == 0);
-}
-
 // Same failure semantics as the snapshot rotation failpoints: kCrash
 // hard-exits like a SIGKILL, kStall sleeps the payload (the overload lever
 // in ci/sanitize.sh), anything else is an injected error for that stage.
@@ -80,8 +74,6 @@ ServeOptions ServeOptions::FromEnv() {
   options.write_timeout_ms =
       EnvInt("KGC_SERVE_WRITE_TIMEOUT_MS", options.write_timeout_ms);
   options.max_k = EnvInt("KGC_SERVE_MAX_K", options.max_k);
-  options.force_oracle =
-      EnvBool("KGC_SERVE_FORCE_ORACLE", options.force_oracle);
   return options;
 }
 
@@ -192,14 +184,12 @@ void Server::FinishRequest(const PendingRequest& pending,
   static obs::Counter& deadline =
       registry.GetCounter(obs::kServeDeadlineExceeded);
   static obs::Counter& malformed = registry.GetCounter(obs::kServeMalformed);
-  static obs::Counter& degraded = registry.GetCounter(obs::kServeDegraded);
   static obs::Counter& drained = registry.GetCounter(obs::kServeDrained);
   static obs::HdrHistogram& latency =
       registry.GetDurationHistogram(obs::kServeRequestSeconds);
   switch (reply.status) {
     case ReplyStatus::kOk:
       ok.Increment();
-      if (reply.flags & kReplyFlagDegraded) degraded.Increment();
       break;
     case ReplyStatus::kDeadlineExceeded:
       deadline.Increment();
@@ -424,25 +414,13 @@ void Server::ServeBatch(std::vector<PendingRequest>& batch) {
     TopKOptions topt;
     topt.k = static_cast<int>(std::max<uint32_t>(max_k_needed, 1));
     topt.threads = 1;  // the blocked sweep is the batching; keep it exact
-    const TripleStore& filter = gen->dataset.all_store();
-    std::vector<TopKResult> results;
-    if (options_.force_oracle) {
-      results.reserve(queries.size());
-      for (const TopKQuery& query : queries) {
-        results.push_back(
-            TopKEngine::OracleTopK(model, query, topt.k, &filter));
-      }
-    } else {
-      TopKEngine engine(model, topt);
-      results = engine.Run(queries, &filter);
-    }
+    const TopKEngine engine(model, topt);
+    const std::vector<TopKResult> results =
+        engine.Run(queries, &gen->dataset.all_store());
     for (size_t j = 0; j < topk_indices.size(); ++j) {
       const Request& request = batch[topk_indices[j]].request;
       Reply& reply = replies[topk_indices[j]];
       reply.status = ReplyStatus::kOk;
-      // Every served model describes a kernel sweep, so only a forced
-      // oracle run is degraded.
-      if (options_.force_oracle) reply.flags |= kReplyFlagDegraded;
       const std::vector<TopKEntry>& list =
           request.filtered ? results[j].filtered : results[j].raw;
       uint32_t k = std::min<uint32_t>(

@@ -15,8 +15,6 @@
 //   deadline     expired before scoring => DEADLINE_EXCEEDED, never scored
 //   malformed    bad frame => MALFORMED reply, connection closed
 //   slow client  write timeout => drop + close (kgc.serve.slow_client_drops)
-//   degradation  KGC_SERVE_FORCE_ORACLE=1 => oracle sweep, reply flagged
-//                degraded; bit-identical
 //   rotation     Repin between batches; replies carry the generation
 //   SIGTERM      Shutdown(): stop accepting, drain the queue, answer
 //                everything queued, then exit (kgc.serve.drained_requests)
@@ -66,15 +64,13 @@ struct ServeOptions {
   int write_timeout_ms = 2000;
   /// K is clamped to this (and to num_entities).
   int max_k = 1024;
-  /// Forces the oracle sweep — every OK top-K reply flags degraded.
-  bool force_oracle = false;
   /// Seed for classification threshold fitting; kgc_load must use the same
   /// seed for its expected fingerprints to match.
   uint64_t classify_seed = 99;
 
   /// Defaults overlaid with KGC_SERVE_MAX_CONNECTIONS, KGC_SERVE_QUEUE,
   /// KGC_SERVE_MAX_BATCH, KGC_SERVE_LINGER_US, KGC_SERVE_DEADLINE_MS,
-  /// KGC_SERVE_WRITE_TIMEOUT_MS, KGC_SERVE_MAX_K, KGC_SERVE_FORCE_ORACLE.
+  /// KGC_SERVE_WRITE_TIMEOUT_MS, KGC_SERVE_MAX_K.
   static ServeOptions FromEnv();
 };
 

@@ -211,9 +211,7 @@ obs::MetricsSnapshot RunInstrumentedPipeline(const SyntheticKg& kg,
       RedundancyCatalog::Detect(kg.dataset.train_store(), detector_options);
   ComputeRedundancyBitmap(kg.dataset, catalog, threads);
 
-  AmieOptions amie_options;
-  amie_options.threads = threads;
-  MineRules(kg.dataset.train_store(), amie_options);
+  MineRules(kg.dataset.train_store());
 
   return obs::Registry::Get().Snapshot();
 }
@@ -274,19 +272,16 @@ TEST(DeterminismTest, AmieEnumerationCountersAreExact) {
   AmieOptions options;
   // Mediators 1 and 2 are admitted (the sum is 0, then 1); from mediator 3
   // on the sum (2) exceeds the budget: 3 and 6..155 are cut.
-  options.max_path_pairs = 1;
-  for (int threads : {1, 4}) {
-    options.threads = threads;
-    obs::Registry::Get().ResetAllForTest();
-    MineRules(store, options);
-    auto counter = [](const char* name) {
-      return obs::Registry::Get().GetCounter(name).value();
-    };
-    // Bodies r0.r1 = {(0, 2)} through 1 and r1.r0 = {(1, 3)} through 2.
-    EXPECT_EQ(counter(obs::kAmiePathPairs), 2u) << threads;
-    EXPECT_EQ(counter(obs::kAmieHubMediators), 1u) << threads;
-    EXPECT_EQ(counter(obs::kAmieBudgetCutMediators), 151u) << threads;
-  }
+  options.max_path_combinations = 1;
+  obs::Registry::Get().ResetAllForTest();
+  MineRules(store, options);
+  auto counter = [](const char* name) {
+    return obs::Registry::Get().GetCounter(name).value();
+  };
+  // Bodies r0.r1 = {(0, 2)} through 1 and r1.r0 = {(1, 3)} through 2.
+  EXPECT_EQ(counter(obs::kAmiePathPairs), 2u);
+  EXPECT_EQ(counter(obs::kAmieHubMediators), 1u);
+  EXPECT_EQ(counter(obs::kAmieBudgetCutMediators), 151u);
   obs::Registry::Get().ResetAllForTest();
 }
 

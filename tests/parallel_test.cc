@@ -2,10 +2,11 @@
 //
 // The engine's contract is "same bytes out, N× faster": every computation
 // parallelized with ParallelFor must be bit-identical for every thread
-// count. These tests pin that contract for the three refactored layers —
-// ranking, redundancy detection and rule mining — by running each at
-// threads=1 and threads=4 (and an uneven 3) and comparing outputs field by
-// field, plus edge cases of the primitive itself. Ranking is also checked
+// count. These tests pin that contract for the parallel layers — ranking
+// and redundancy detection — by running each at threads=1 and threads=4
+// (and an uneven 3) and comparing outputs field by field, plus edge cases
+// of the primitive itself. Rule mining is one serial pass; rules_test pins
+// it against a brute-force miner. Ranking is also checked
 // against a brute-force rank oracle for every model and both kernel paths.
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include "obs/metrics.h"
 #include "redundancy/detectors.h"
 #include "redundancy/leakage.h"
-#include "rules/amie.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -186,25 +186,6 @@ Dataset RedundantDataset() {
   }
   return Dataset("redundant", std::move(vocab), std::move(train), {},
                  std::move(test));
-}
-
-/// Training store with mineable structure: a duplicate relation, an inverse
-/// relation and a composition chain, over Rng-generated base pairs.
-TripleStore RuleStore() {
-  const int32_t num_entities = 30;
-  Rng rng(17);
-  TripleList triples;
-  for (int i = 0; i < 60; ++i) {
-    const EntityId x = static_cast<EntityId>(rng.Uniform(num_entities));
-    const EntityId y = static_cast<EntityId>(rng.Uniform(num_entities));
-    triples.push_back({x, 0, y});                      // base
-    if (i % 2 == 0) triples.push_back({x, 1, y});      // duplicate of 0
-    triples.push_back({y, 2, x});                      // inverse of 0
-    const EntityId z = static_cast<EntityId>(rng.Uniform(num_entities));
-    triples.push_back({x, 3, z});                      // path leg 1
-    triples.push_back({z, 4, y});                      // path leg 2
-  }
-  return TripleStore(triples, num_entities, 5);
 }
 
 void ExpectSameRanks(const std::vector<TripleRanks>& a,
@@ -469,38 +450,6 @@ TEST(ParallelDeterminismTest, LeakageAndBitmapAreThreadCountInvariant) {
     EXPECT_EQ(bitmap.duplicate_in_test, bitmap1.duplicate_in_test);
     EXPECT_EQ(bitmap.reverse_duplicate_in_test,
               bitmap1.reverse_duplicate_in_test);
-  }
-}
-
-TEST(ParallelDeterminismTest, MineRulesIsThreadCountInvariant) {
-  const TripleStore train = RuleStore();
-  AmieOptions serial;
-  serial.min_support = 3;
-  serial.min_confidence = 0.01;
-  serial.min_head_coverage = 0.0;
-  serial.threads = 1;
-  const std::vector<Rule> baseline = MineRules(train, serial);
-  EXPECT_FALSE(baseline.empty());
-
-  for (int threads : {2, 4}) {
-    AmieOptions options = serial;
-    options.threads = threads;
-    const std::vector<Rule> mined = MineRules(train, options);
-    ASSERT_EQ(mined.size(), baseline.size());
-    for (size_t i = 0; i < mined.size(); ++i) {
-      EXPECT_EQ(mined[i].kind, baseline[i].kind) << "rule " << i;
-      EXPECT_EQ(mined[i].body1, baseline[i].body1) << "rule " << i;
-      EXPECT_EQ(mined[i].body2, baseline[i].body2) << "rule " << i;
-      EXPECT_EQ(mined[i].head, baseline[i].head) << "rule " << i;
-      EXPECT_EQ(mined[i].support, baseline[i].support) << "rule " << i;
-      EXPECT_EQ(mined[i].body_size, baseline[i].body_size) << "rule " << i;
-      EXPECT_EQ(mined[i].std_confidence, baseline[i].std_confidence)
-          << "rule " << i;
-      EXPECT_EQ(mined[i].pca_confidence, baseline[i].pca_confidence)
-          << "rule " << i;
-      EXPECT_EQ(mined[i].head_coverage, baseline[i].head_coverage)
-          << "rule " << i;
-    }
   }
 }
 

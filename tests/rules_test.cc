@@ -208,33 +208,28 @@ TEST(AmieOracleTest, MatchesBruteForceMiner) {
   AmieOptions by_std = loose;
   by_std.use_pca_confidence = false;
   AmieOptions budget = loose;
-  budget.max_path_pairs = 300;
+  budget.max_path_combinations = 300;
   const AmieOptions defaults;
 
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const TripleStore store = RandomRuleStore(seed);
     for (const AmieOptions& base : {loose, by_std, budget, defaults}) {
       const std::vector<Rule> oracle = bench::NaiveMineRules(store, base);
-      for (int threads : {1, 2, 3, 4}) {
-        SCOPED_TRACE(StrFormat("seed %llu max_path_pairs %zu min_support %zu "
-                               "pca %d threads %d",
-                               static_cast<unsigned long long>(seed),
-                               base.max_path_pairs, base.min_support,
-                               static_cast<int>(base.use_pca_confidence),
-                               threads));
-        AmieOptions options = base;
-        options.threads = threads;
-        obs::Registry::Get().ResetAllForTest();
-        ExpectSameRules(MineRules(store, options), oracle);
-        EXPECT_EQ(CounterValue(obs::kAmieRulesKept), oracle.size());
-        EXPECT_EQ(CounterValue(obs::kAmieHubMediators), 1u);
-        if (base.max_path_pairs == budget.max_path_pairs) {
-          // The budget cuts the enumeration midway, not before it starts.
-          EXPECT_GT(CounterValue(obs::kAmieBudgetCutMediators), 0u);
-          EXPECT_GT(CounterValue(obs::kAmiePathPairs), 0u);
-        } else {
-          EXPECT_EQ(CounterValue(obs::kAmieBudgetCutMediators), 0u);
-        }
+      SCOPED_TRACE(StrFormat("seed %llu max_path_combinations %zu "
+                             "min_support %zu pca %d",
+                             static_cast<unsigned long long>(seed),
+                             base.max_path_combinations, base.min_support,
+                             static_cast<int>(base.use_pca_confidence)));
+      obs::Registry::Get().ResetAllForTest();
+      ExpectSameRules(MineRules(store, base), oracle);
+      EXPECT_EQ(CounterValue(obs::kAmieRulesKept), oracle.size());
+      EXPECT_EQ(CounterValue(obs::kAmieHubMediators), 1u);
+      if (base.max_path_combinations == budget.max_path_combinations) {
+        // The budget cuts the enumeration midway, not before it starts.
+        EXPECT_GT(CounterValue(obs::kAmieBudgetCutMediators), 0u);
+        EXPECT_GT(CounterValue(obs::kAmiePathPairs), 0u);
+      } else {
+        EXPECT_EQ(CounterValue(obs::kAmieBudgetCutMediators), 0u);
       }
     }
     // The loose setting mines every rule shape.

@@ -1,8 +1,8 @@
 // Serving-layer tests: protocol round-trips, the malformed-input corpus
 // (typed error or clean close, never a crash), end-to-end bit-identity of
 // served top-K / classification replies against locally recomputed
-// results, admission-control shedding, typed deadline replies, degraded
-// oracle fallback, drain-on-shutdown, and rotation pickup mid-serve.
+// results, admission-control shedding, typed deadline replies,
+// drain-on-shutdown, and rotation pickup mid-serve.
 //
 // The server runs in-process (it is a library; kgc_serve is a thin main),
 // so FaultInjector sites arm directly and the tests are fast enough for
@@ -466,49 +466,6 @@ TEST_F(ServeTest, ExpiredDeadlinesGetTypedRepliesWithoutScoring) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->status, ReplyStatus::kDeadlineExceeded);
   EXPECT_EQ(reply->id, 7u);
-  ::close(fd);
-}
-
-TEST_F(ServeTest, OracleFallbackIsBitIdenticalAndFlagged) {
-  BootstrapRegistry();
-  const uint64_t degraded_before =
-      obs::Registry::Get().GetCounter(obs::kServeDegraded).value();
-
-  Request request;
-  request.type = RequestType::kTopK;
-  request.id = 11;
-  request.tails = true;
-  request.filtered = true;
-  request.relation = 1;
-  request.anchor = 2;
-  request.k = 4;
-
-  // Fast path first.
-  StartServer();
-  int fd = MustConnect();
-  auto fast = Call(fd, request);
-  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
-  ASSERT_EQ(fast->status, ReplyStatus::kOk);
-  EXPECT_EQ(fast->flags & serve::kReplyFlagDegraded, 0);
-  ::close(fd);
-  server_.reset();
-
-  // Forced oracle: flagged degraded, same bytes.
-  ServeOptions options;
-  options.force_oracle = true;
-  StartServer(options);
-  fd = MustConnect();
-  auto oracle = Call(fd, request);
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-  ASSERT_EQ(oracle->status, ReplyStatus::kOk);
-  EXPECT_NE(oracle->flags & serve::kReplyFlagDegraded, 0);
-  ASSERT_EQ(oracle->entries.size(), fast->entries.size());
-  for (size_t i = 0; i < fast->entries.size(); ++i) {
-    EXPECT_EQ(oracle->entries[i].entity, fast->entries[i].entity);
-    EXPECT_EQ(oracle->entries[i].score, fast->entries[i].score);
-  }
-  EXPECT_GT(obs::Registry::Get().GetCounter(obs::kServeDegraded).value(),
-            degraded_before);
   ::close(fd);
 }
 

@@ -31,10 +31,10 @@ ModelHyperParams SmallParams(ModelType type) {
 
 // A deterministic query mix: both directions, several relations, shared
 // (direction, relation) groups of varying size, and a watch entity per
-// query so the watch path is always exercised.
-std::vector<TopKQuery> MakeQueries() {
+// query so the watch path is always exercised. The mix has six groups.
+std::vector<TopKQuery> MakeQueries(int count = 40) {
   std::vector<TopKQuery> queries;
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < count; ++i) {
     TopKQuery q;
     q.tails = (i % 3) != 0;
     q.relation = static_cast<RelationId>((i * 7) % kRelations);
@@ -58,6 +58,17 @@ TripleStore MakeFilter() {
 }
 
 uint32_t Bits(float f) { return std::bit_cast<uint32_t>(f); }
+
+// kgc.topk.{tiles_pruned, entities_scored, heap_pushes, queries_batched}.
+std::vector<uint64_t> TopKCounters() {
+  std::vector<uint64_t> values;
+  for (const char* name :
+       {obs::kTopKTilesPruned, obs::kTopKEntitiesScored, obs::kTopKHeapPushes,
+        obs::kTopKQueriesBatched}) {
+    values.push_back(obs::Registry::Get().GetCounter(name).value());
+  }
+  return values;
+}
 
 void ExpectEntriesEqual(const std::vector<TopKEntry>& actual,
                         const std::vector<TopKEntry>& expected,
@@ -89,11 +100,12 @@ void ExpectResultsEqual(const std::vector<TopKResult>& actual,
 class TopKModelTest : public ::testing::TestWithParam<ModelType> {};
 
 // The core contract: for every model, K and filter setting, the fast path
-// equals the truncated full ranking bit for bit.
+// equals the truncated full ranking bit for bit. 160 queries over six
+// groups give every group at least three blocks of kSweepQueryBlock.
 TEST_P(TopKModelTest, MatchesOracleBitForBit) {
   const auto model = CreateModel(GetParam(), kEntities, kRelations,
                                  SmallParams(GetParam()));
-  const auto queries = MakeQueries();
+  const auto queries = MakeQueries(160);
   const TripleStore filter = MakeFilter();
   for (int k : {1, 10, 100}) {
     for (const TripleStore* f : {static_cast<const TripleStore*>(nullptr),
@@ -102,7 +114,6 @@ TEST_P(TopKModelTest, MatchesOracleBitForBit) {
       options.k = k;
       options.threads = 1;
       options.tile_rows = 32;  // several tiles even at 150 entities
-      options.query_block = 4;
       const TopKEngine engine(*model, options);
       const auto results = engine.Run(queries, f);
       ASSERT_EQ(results.size(), queries.size());
@@ -130,16 +141,6 @@ TEST_P(TopKModelTest, ThreadCountInvariance) {
   const auto queries = MakeQueries();
   const TripleStore filter = MakeFilter();
 
-  const auto counters = [] {
-    std::vector<uint64_t> values;
-    for (const char* name :
-         {obs::kTopKTilesPruned, obs::kTopKEntitiesScored,
-          obs::kTopKHeapPushes, obs::kTopKQueriesBatched}) {
-      values.push_back(obs::Registry::Get().GetCounter(name).value());
-    }
-    return values;
-  };
-
   std::vector<TopKResult> reference;
   std::vector<uint64_t> reference_delta;
   for (int threads : {1, 2, 4}) {
@@ -147,9 +148,9 @@ TEST_P(TopKModelTest, ThreadCountInvariance) {
     options.threads = threads;
     options.tile_rows = 32;
     const TopKEngine engine(*model, options);
-    const auto before = counters();
+    const auto before = TopKCounters();
     const auto results = engine.Run(queries, &filter);
-    const auto after = counters();
+    const auto after = TopKCounters();
     std::vector<uint64_t> delta(before.size());
     for (size_t i = 0; i < before.size(); ++i) delta[i] = after[i] - before[i];
     if (threads == 1) {
@@ -186,21 +187,6 @@ TEST_P(TopKModelTest, KernelPathInvariance) {
   ExpectResultsEqual(native, generic, "kernel path");
 }
 
-// cross_check mode re-derives every query against the oracle inside Run and
-// aborts on mismatch; it must pass cleanly for every model.
-TEST_P(TopKModelTest, CrossCheckModePasses) {
-  const auto model = CreateModel(GetParam(), kEntities, kRelations,
-                                 SmallParams(GetParam()));
-  const auto queries = MakeQueries();
-  const TripleStore filter = MakeFilter();
-  TopKOptions options;
-  options.cross_check = true;
-  options.tile_rows = 32;
-  const TopKEngine engine(*model, options);
-  const auto results = engine.Run(queries, &filter);
-  EXPECT_EQ(results.size(), queries.size());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllModels, TopKModelTest,
     ::testing::Values(ModelType::kTransE, ModelType::kTransH,
@@ -232,21 +218,37 @@ class StripedPredictor : public LinkPredictor {
   }
 };
 
+// The fallback must match the oracle at any tile size, with exact
+// kgc.topk.* deltas: each query pushes its candidates in ascending entity
+// order and deferred filter probes only ever see a tighter threshold, so
+// neither the tile size nor the probe batch may move heap_pushes (2856 is
+// also what a one-query-at-a-time full sweep pushes), and the fallback
+// counts no batched queries.
 TEST(TopKFallbackTest, SweeplessPredictorMatchesOracle) {
   // Deliberately tie-heavy scores (97 distinct values over 150 entities):
   // the entity-id tie-break must resolve them identically on both paths.
   const StripedPredictor predictor;
   const auto queries = MakeQueries();
   const TripleStore filter = MakeFilter();
-  TopKOptions options;
-  options.k = 10;
-  const TopKEngine engine(predictor, options);
-  const auto results = engine.Run(queries, &filter);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const TopKResult oracle =
-        TopKEngine::OracleTopK(predictor, queries[i], options.k, &filter);
-    ExpectEntriesEqual(results[i].raw, oracle.raw, "raw");
-    ExpectEntriesEqual(results[i].filtered, oracle.filtered, "filtered");
+  for (int tile_rows : {32, static_cast<int>(kSweepTileRows)}) {
+    SCOPED_TRACE(testing::Message() << "tile_rows=" << tile_rows);
+    TopKOptions options;
+    options.k = 10;
+    options.tile_rows = tile_rows;
+    const TopKEngine engine(predictor, options);
+    const auto before = TopKCounters();
+    const auto results = engine.Run(queries, &filter);
+    const auto after = TopKCounters();
+    EXPECT_EQ(after[0] - before[0], 0u);               // tiles_pruned
+    EXPECT_EQ(after[1] - before[1], 40u * kEntities);  // entities_scored
+    EXPECT_EQ(after[2] - before[2], 2856u);            // heap_pushes
+    EXPECT_EQ(after[3] - before[3], 0u);               // queries_batched
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const TopKResult oracle =
+          TopKEngine::OracleTopK(predictor, queries[i], options.k, &filter);
+      ExpectEntriesEqual(results[i].raw, oracle.raw, "raw");
+      ExpectEntriesEqual(results[i].filtered, oracle.filtered, "filtered");
+    }
   }
 }
 
