@@ -154,7 +154,6 @@ class GroupRunner {
   // relation): watch scores one candidate each, then every tile of the
   // sweep, each query's candidates pushed in ascending entity order.
   void ProcessBlock(const size_t* order, size_t count) {
-    order_ = order;
     const TopKQuery& lead = queries_[order[0]];
     tails_ = lead.tails;
     relation_ = lead.relation;
@@ -201,8 +200,7 @@ class GroupRunner {
         if (raw_[q].Push(score, ent)) ++tally_->heap_pushes;
         if (filter_ && filt_[q].WouldAccept(score, ent)) {
           cands_.push_back({q, ent, score});
-          keys_.push_back(FilterKey(tails_, relation_,
-                                    queries_[order_[q]].anchor, ent));
+          keys_.push_back(FilterKey(tails_, relation_, anchors_[a], ent));
         }
       }
     }
@@ -235,7 +233,6 @@ class GroupRunner {
   SweepExecutor sweep_;
 
   // Per-block state.
-  const size_t* order_ = nullptr;
   bool tails_ = true;
   RelationId relation_ = 0;
   std::vector<EntityId> anchors_;
