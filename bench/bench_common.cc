@@ -309,10 +309,10 @@ std::vector<TripleRanks> NaiveRankTriples(const LinkPredictor& predictor,
   for (size_t i = 0; i < test.size(); ++i) {
     const Triple& t = test[i];
     ranks[i].triple = t;
-    predictor.ScoreTails(t.head, t.relation, scores);
+    predictor.ScoreCandidates(/*tails=*/true, t.relation, t.head, scores);
     NaiveRank(scores, t.tail, filter.Tails(t.head, t.relation),
               &ranks[i].tail_raw, &ranks[i].tail_filtered);
-    predictor.ScoreHeads(t.relation, t.tail, scores);
+    predictor.ScoreCandidates(/*tails=*/false, t.relation, t.tail, scores);
     NaiveRank(scores, t.head, filter.Heads(t.relation, t.tail),
               &ranks[i].head_raw, &ranks[i].head_filtered);
   }

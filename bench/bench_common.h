@@ -110,9 +110,9 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
                                     bool cross_check, int reps);
 
 /// Brute-force filtered ranking, the oracle RankTriples must match bit for
-/// bit: per test triple and direction, the full ScoreTails/ScoreHeads
-/// vector, greater/equal counted over all N entities, and the filtered
-/// correction from walking `filter`'s known adjacency with multiplicity.
+/// bit: per test triple and direction, the full ScoreCandidates vector,
+/// greater/equal counted over all N entities, and the filtered correction
+/// from walking `filter`'s known adjacency with multiplicity.
 std::vector<TripleRanks> NaiveRankTriples(const LinkPredictor& predictor,
                                           const TripleStore& filter,
                                           const TripleList& test);

@@ -42,9 +42,9 @@ int Run() {
                            "test (h, ?, t))");
   relation_pred.SetHeader({"Model", "FMRR", "FH@1", "FMRR'", "FH@1'"});
   for (ModelType type : models) {
-    const RelationPredictionMetrics original = EvaluateRelationPrediction(
+    const LinkPredictionMetrics original = EvaluateRelationPrediction(
         context.GetModel(suite.kg.dataset, type), suite.kg.dataset);
-    const RelationPredictionMetrics cleaned = EvaluateRelationPrediction(
+    const LinkPredictionMetrics cleaned = EvaluateRelationPrediction(
         context.GetModel(suite.cleaned, type), suite.cleaned);
     relation_pred.AddRow({ModelTypeName(type), Mrr(original.fmrr),
                           Pct(original.fhits1), Mrr(cleaned.fmrr),

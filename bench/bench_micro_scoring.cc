@@ -4,13 +4,13 @@
 //
 // After the google-benchmark suite, four sections write machine-readable
 // JSON to BENCH_scoring.json in the working directory:
-//   - kernel_paths:      per-model ScoreTails sweeps under the generic vs
+//   - kernel_paths:      per-model tails sweeps under the generic vs
 //                        the -march native kernel dispatch path;
 //   - blocked_rank:      the blocked RankTriples sweep on TransE at
 //                        scale:10000, µs per ranked triple at 1 / 4
 //                        threads under each kernel path, checked against
 //                        the brute-force rank oracle;
-//   - exporter_overhead: the ScoreTails sweep with the live metrics
+//   - exporter_overhead: the tails sweep with the live metrics
 //                        exporter off vs running at 100 ms;
 //   - topk:              the TopKEngine fast path vs the full-sweep oracle
 //                        at 100k entities (a unit-norm TransE row and a
@@ -77,7 +77,7 @@ void BM_ScoreTails(benchmark::State& state) {
   std::vector<float> scores(static_cast<size_t>(model->num_entities()));
   EntityId h = 0;
   for (auto _ : state) {
-    model->ScoreTails(h, 1, scores);
+    model->ScoreCandidates(/*tails=*/true, 1, h, scores);
     benchmark::DoNotOptimize(scores.data());
     h = (h + 1) % 100;
   }
@@ -135,7 +135,7 @@ BENCHMARK(BM_RankOneTriple)->Arg(0)->Arg(6)->Arg(8)->Arg(9);
 
 // --- Kernel dispatch paths -------------------------------------------------
 
-/// Best-of-3 time of `reps` full ScoreTails sweeps under the active kernel
+/// Best-of-3 time of `reps` full tails sweeps under the active kernel
 /// path, in nanoseconds per scored entity.
 double MeasureSweepNsPerEntity(const KgeModel& model, int reps) {
   std::vector<float> scores(static_cast<size_t>(model.num_entities()));
@@ -143,7 +143,8 @@ double MeasureSweepNsPerEntity(const KgeModel& model, int reps) {
   for (int rep = 0; rep < 3; ++rep) {
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < reps; ++i) {
-      model.ScoreTails(static_cast<EntityId>(i % 100), 1, scores);
+      model.ScoreCandidates(/*tails=*/true, 1, static_cast<EntityId>(i % 100),
+                            scores);
       benchmark::DoNotOptimize(scores.data());
     }
     const std::chrono::duration<double, std::nano> elapsed =
@@ -154,7 +155,7 @@ double MeasureSweepNsPerEntity(const KgeModel& model, int reps) {
                  static_cast<double>(model.num_entities()));
 }
 
-/// Times every model's ScoreTails sweep under the generic and (when
+/// Times every model's tails sweep under the generic and (when
 /// available) the -march native kernel path and writes the kernel_paths
 /// JSON section. The path active on entry is restored afterwards.
 void RunKernelPaths(std::ostream& out) {
@@ -296,7 +297,7 @@ double ThreadCpuSeconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/// Runs `sweeps` full ScoreTails sweeps and measures both the process CPU
+/// Runs `sweeps` full tails sweeps and measures both the process CPU
 /// (every thread, via getrusage) and this thread's CPU for the window.
 /// With only the measuring thread and (optionally) the exporter thread
 /// alive, process minus thread CPU is *exactly* the exporter's cost: the
@@ -309,7 +310,8 @@ SweepWindow MeasureSweepWindow(const KgeModel& model, int64_t sweeps) {
   const double thread_before = ThreadCpuSeconds();
   const auto start = std::chrono::steady_clock::now();
   for (int64_t i = 0; i < sweeps; ++i) {
-    model.ScoreTails(static_cast<EntityId>(i % 100), 1, scores);
+    model.ScoreCandidates(/*tails=*/true, 1, static_cast<EntityId>(i % 100),
+                          scores);
     benchmark::DoNotOptimize(scores.data());
   }
   const std::chrono::duration<double, std::nano> elapsed =
@@ -328,7 +330,7 @@ SweepWindow MeasureSweepWindow(const KgeModel& model, int64_t sweeps) {
   return window;
 }
 
-/// Times the DistMult ScoreTails sweep with the metrics exporter off and
+/// Times the DistMult tails sweep with the metrics exporter off and
 /// then running at a 100 ms interval, and writes the exporter_overhead
 /// JSON section. The overhead is attributed directly: per on-window,
 /// exporter CPU = process CPU - measuring-thread CPU (the only other

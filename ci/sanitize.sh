@@ -109,10 +109,13 @@ else
 
     # Rule mining at preset size under ASan: the miner's packed path keys
     # and flat buffers only reach this size here (the unit tests use small
-    # stores), and leak detection stays on.
-    echo "== rule mining on the fb and wn presets under ASan =="
+    # stores), and leak detection stays on. Each run also ranks its preset
+    # with RulePredictor, so both directions of every rule shape are
+    # scored on all three presets.
+    echo "== rule mining on the fb, wn and yago presets under ASan =="
     "${BUILD_DIR}/examples/rule_mining" fb 10
     "${BUILD_DIR}/examples/rule_mining" wn 10
+    "${BUILD_DIR}/examples/rule_mining" yago 10
 
     # Serving overload smoke under ASan: a short kgc_serve + kgc_load
     # session with a deliberately tiny admission queue and a stall

@@ -37,7 +37,8 @@ struct RankerOptions {
 /// known-fact scores come from the executor's single-candidate Score, which
 /// reproduces the tiles' bits; known facts count with the multiplicity the
 /// filter store lists them. Predictors without a kernel sweep (rule models)
-/// go through the same executor, which reads their full Score* vectors.
+/// go through the same executor, which reads their full ScoreCandidates
+/// vectors.
 /// Blocks are statically sharded across threads and never split, so ranks
 /// *and* all telemetry counters (score_evals, query_cache_hits/misses) are
 /// bit-identical for any thread count and either kernel path.

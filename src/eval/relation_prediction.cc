@@ -5,18 +5,16 @@
 
 namespace kgc {
 
-RelationPredictionMetrics EvaluateRelationPrediction(const KgeModel& model,
-                                                     const Dataset& dataset) {
-  RelationPredictionMetrics metrics;
+LinkPredictionMetrics EvaluateRelationPrediction(const KgeModel& model,
+                                                 const Dataset& dataset) {
+  MetricsAccumulator metrics;
   const TripleStore& all = dataset.all_store();
   const int32_t num_relations = dataset.num_relations();
-  if (dataset.test().empty() || num_relations == 0) return metrics;
+  if (num_relations == 0) return metrics.Finalize();
 
   std::vector<double> scores(static_cast<size_t>(num_relations));
   std::vector<uint64_t> probe_keys(static_cast<size_t>(num_relations));
   std::vector<uint8_t> known(static_cast<size_t>(num_relations));
-  double sum_rank = 0, sum_inv = 0, hits1 = 0;
-  double fsum_rank = 0, fsum_inv = 0, fhits1 = 0;
   for (const Triple& t : dataset.test()) {
     for (RelationId r = 0; r < num_relations; ++r) {
       scores[static_cast<size_t>(r)] = model.Score(t.head, r, t.tail);
@@ -45,22 +43,9 @@ RelationPredictionMetrics EvaluateRelationPrediction(const KgeModel& model,
     const double filtered = static_cast<double>(greater - greater_known) +
                             static_cast<double>(equal - equal_known) / 2.0 +
                             1.0;
-    sum_rank += raw;
-    sum_inv += 1.0 / raw;
-    if (raw <= 1.0) hits1 += 1.0;
-    fsum_rank += filtered;
-    fsum_inv += 1.0 / filtered;
-    if (filtered <= 1.0) fhits1 += 1.0;
+    metrics.Add(raw, filtered);
   }
-  const double n = static_cast<double>(dataset.test().size());
-  metrics.num_triples = dataset.test().size();
-  metrics.mr = sum_rank / n;
-  metrics.mrr = sum_inv / n;
-  metrics.hits1 = hits1 / n;
-  metrics.fmr = fsum_rank / n;
-  metrics.fmrr = fsum_inv / n;
-  metrics.fhits1 = fhits1 / n;
-  return metrics;
+  return metrics.Finalize();
 }
 
 }  // namespace kgc

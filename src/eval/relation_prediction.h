@@ -11,20 +11,11 @@
 
 namespace kgc {
 
-struct RelationPredictionMetrics {
-  size_t num_triples = 0;
-  double mr = 0.0;
-  double mrr = 0.0;
-  double hits1 = 0.0;
-  /// Filtered variants: other relations known to link (h, t) are ignored.
-  double fmr = 0.0;
-  double fmrr = 0.0;
-  double fhits1 = 0.0;
-};
-
-/// Ranks the true relation of every test triple among all relations.
-RelationPredictionMetrics EvaluateRelationPrediction(const KgeModel& model,
-                                                     const Dataset& dataset);
+/// Ranks the true relation of every test triple among all relations, one
+/// prediction per triple. The filtered ranks ignore other relations known
+/// to link (h, t).
+LinkPredictionMetrics EvaluateRelationPrediction(const KgeModel& model,
+                                                 const Dataset& dataset);
 
 }  // namespace kgc
 

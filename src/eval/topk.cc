@@ -90,18 +90,16 @@ inline uint64_t FilterKey(bool tails, RelationId r, EntityId anchor,
                : PackTriple(candidate, r, anchor);
 }
 
-// Full Score* sweep with heap selection: the oracle Run is compared with.
+// Full ScoreCandidates sweep with heap selection: the oracle Run is
+// compared with.
 TopKResult FullSweepTopK(const LinkPredictor& predictor,
                          const TopKQuery& query, int k,
                          const TripleStore* filter) {
   const size_t n = static_cast<size_t>(predictor.num_entities());
   const size_t kk = static_cast<size_t>(k);
   std::vector<float> scores(n);
-  if (query.tails) {
-    predictor.ScoreTails(query.anchor, query.relation, scores);
-  } else {
-    predictor.ScoreHeads(query.relation, query.anchor, scores);
-  }
+  predictor.ScoreCandidates(query.tails, query.relation, query.anchor,
+                            scores);
   BoundedHeap raw(kk);
   BoundedHeap filt(kk);
   for (size_t e = 0; e < n; ++e) {

@@ -14,10 +14,10 @@
 //      they are bit-identical across KGC_THREADS and kernel paths.
 //
 // Every per-(query, row) score is produced by the same fixed-order kernel
-// reduction and the same SweepEpilogue as ScoreTails/ScoreHeads, so the
+// reduction and the same SweepEpilogue as ScoreCandidates, so the
 // top-K lists equal the truncated full ranking (OracleTopK) bit for bit.
 // Models without a kernel sweep (DescribeSweep == false, e.g. rule
-// predictors) take the same path over their full Score* vectors —
+// predictors) take the same path over their full ScoreCandidates vectors —
 // correct, just not fast.
 
 #ifndef KGC_EVAL_TOPK_H_
@@ -79,7 +79,7 @@ class TopKEngine {
   std::vector<TopKResult> Run(std::span<const TopKQuery> queries,
                               const TripleStore* filter) const;
 
-  /// Full-ranking oracle: ScoreTails/ScoreHeads over every entity, sorted
+  /// Full-ranking oracle: ScoreCandidates over every entity, sorted
   /// by (score desc, entity asc), truncated to k. The reference Run must
   /// match bit for bit.
   static TopKResult OracleTopK(const LinkPredictor& predictor,

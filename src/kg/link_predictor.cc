@@ -126,12 +126,9 @@ void SweepExecutor::Load(bool tails, RelationId r,
   }
   scores_.resize(num_anchors_ * num_rows_);
   for (size_t a = 0; a < num_anchors_; ++a) {
-    const std::span<float> out(&scores_[a * num_rows_], num_rows_);
-    if (tails) {
-      predictor_.ScoreTails(anchors[a], r, out);
-    } else {
-      predictor_.ScoreHeads(r, anchors[a], out);
-    }
+    predictor_.ScoreCandidates(
+        tails, r, anchors[a],
+        std::span<float>(&scores_[a * num_rows_], num_rows_));
   }
 }
 

@@ -3,6 +3,10 @@
 // Both latent-feature models (embeddings; models/) and observed-feature
 // models (rules; rules/) implement this interface, so the evaluation
 // harness treats them uniformly -- exactly the comparison the paper makes.
+// A predictor writes one candidate scorer, ScoreCandidates(tails, r, anchor,
+// out), for both query directions, in the argument order of DescribeSweep /
+// BuildSweepQuery. Embedding models do not write it: KgeModel
+// (models/model.h) executes their DescribeSweep description.
 //
 // SweepExecutor is the one blocked sweep over that interface. The ranker
 // (eval/ranker.h) and the top-K engine (eval/topk.h) both hand it blocks of
@@ -22,11 +26,11 @@
 namespace kgc {
 
 /// The per-(query, row) kernel shape a model's sweep reduces to. Embedding
-/// models' ScoreTails/ScoreHeads (SweepRows) and SweepExecutor (SweepBlock)
-/// share the per-row reduction and SweepEpilogue, so they agree bit for
-/// bit.
+/// models' ScoreCandidates and Score (SweepRows) and SweepExecutor
+/// (SweepBlock) share the per-row reduction and SweepEpilogue, so they agree
+/// bit for bit.
 enum class SweepKind {
-  kNone = 0,   // no kernel sweep; the predictor implements Score* itself
+  kNone = 0,   // no kernel sweep; ScoreCandidates is the only scorer
   kDot,        // score = dot(q, row) (+ optional per-row bias)
   kL1,         // score = -sum_j |q_j - row_j|
   kL2,         // score = -||q - row||_2
@@ -38,7 +42,7 @@ enum class SweepKind {
 /// A model's description of one (direction, relation) sweep: how to score a
 /// query vector against every candidate row with vecmath kernels. Pointers
 /// alias model-owned (possibly thread-local) storage; they stay valid on the
-/// calling thread until the model's next DescribeSweep/Score* call, so the
+/// calling thread until the model's next DescribeSweep/Score call, so the
 /// caller must copy what it needs to keep (SweepExecutor copies `coef` and
 /// `v` immediately and reads `rows` only until it describes again).
 struct SweepSpec {
@@ -92,19 +96,16 @@ class LinkPredictor {
 
   virtual int32_t num_entities() const = 0;
 
-  /// Fills out[e] with the plausibility of (h, r, e) for every entity e.
-  /// out.size() must equal num_entities(). Higher = more plausible.
-  virtual void ScoreTails(EntityId h, RelationId r,
-                          std::span<float> out) const = 0;
+  /// Fills out[e] with the plausibility of (anchor, r, e) when `tails`, or
+  /// of (e, r, anchor) otherwise, for every entity e. out.size() must equal
+  /// num_entities(). Higher = more plausible.
+  virtual void ScoreCandidates(bool tails, RelationId r, EntityId anchor,
+                               std::span<float> out) const = 0;
 
-  /// Fills out[e] with the plausibility of (e, r, t) for every entity e.
-  virtual void ScoreHeads(RelationId r, EntityId t,
-                          std::span<float> out) const = 0;
-
-  /// Describes the kernel sweep behind ScoreTails (tails=true) or ScoreHeads
-  /// (tails=false) for relation r. Returns false (the default) when the
-  /// predictor has no kernel-shaped sweep — rule models, say — in which
-  /// case SweepExecutor reads the full Score* vectors instead.
+  /// Describes the kernel sweep behind ScoreCandidates(tails, r, ...).
+  /// Returns false (the default) when the predictor has no kernel-shaped
+  /// sweep — rule models, say — in which case SweepExecutor reads the full
+  /// ScoreCandidates vectors instead.
   virtual bool DescribeSweep(bool tails, RelationId r,
                              SweepSpec* spec) const {
     (void)tails;
@@ -134,7 +135,7 @@ class LinkPredictor {
 /// With a kernel sweep the tiles come from SweepBlock + SweepEpilogue and
 /// single scores from one-row SweepRows, which agree bit for bit. Without
 /// one (DescribeSweep false, or kNone), Load fills each anchor's full
-/// ScoreTails/ScoreHeads vector and both calls read from it.
+/// ScoreCandidates vector and both calls read from it.
 ///
 /// Use an executor on one thread only: a description may point at
 /// thread-local model storage (TransR's projected entities) that a
@@ -148,7 +149,7 @@ class SweepExecutor {
   void Load(bool tails, RelationId r, std::span<const EntityId> anchors);
 
   /// True when the loaded sweep runs on the blocked kernels, false when it
-  /// reads full Score* vectors.
+  /// reads full ScoreCandidates vectors.
   bool kernel() const { return kernel_; }
 
   /// Exact score of candidate e for loaded anchor a.

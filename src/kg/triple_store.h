@@ -145,6 +145,13 @@ class TripleStore {
   /// Head entities h with (h, r, t) present, ascending; empty if none.
   std::span<const EntityId> Heads(RelationId r, EntityId t) const;
 
+  /// Tails(anchor, r) when `tails`, else Heads(r, anchor): the entities e
+  /// with (anchor, r, e) or (e, r, anchor) present.
+  std::span<const EntityId> Adjacent(bool tails, RelationId r,
+                                     EntityId anchor) const {
+    return tails ? Tails(anchor, r) : Heads(r, anchor);
+  }
+
   /// Whether (h, r, t) is present.
   bool Contains(EntityId h, RelationId r, EntityId t) const {
     return existence_.Contains(PackTriple(h, r, t));

@@ -21,19 +21,6 @@ ComplEx::ComplEx(int32_t num_entities, int32_t num_relations,
   relations_.InitNormal(rng, stddev);
 }
 
-double ComplEx::Score(EntityId h, RelationId r, EntityId t) const {
-  const auto hv = entities_.Row(h);
-  const auto rv = relations_.Row(r);
-  const size_t d = static_cast<size_t>(params_.dim);
-  // q = h * r (complex product); Re((h r) conj(t)) = q_re.t_re + q_im.t_im.
-  auto q = vec::GetScratch(2 * d, 0);
-  const auto& ops = vec::Ops();
-  ops.complex_hadamard(hv.data(), rv.data(), d, /*conj_a=*/false, q.data());
-  float score = 0.0f;
-  ops.dot_rows(q.data(), entities_.Row(t).data(), 1, 2 * d, 2 * d, &score);
-  return static_cast<double>(score);
-}
-
 void ComplEx::ApplyGradient(const Triple& triple, float d_loss_d_score,
                             float lr) {
   const auto hv = entities_.Row(triple.head);

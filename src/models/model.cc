@@ -56,18 +56,19 @@ StatusOr<ModelType> ParseModelType(const std::string& name) {
   return Status::InvalidArgument("unknown model type: " + name);
 }
 
-void KgeModel::ScoreTails(EntityId h, RelationId r,
-                          std::span<float> out) const {
-  Sweep(/*tails=*/true, r, h, out);
+double KgeModel::Score(EntityId h, RelationId r, EntityId t) const {
+  SweepSpec spec;
+  const bool described = DescribeSweep(/*tails=*/true, r, &spec);
+  KGC_CHECK(described);
+  auto q = vec::GetScratch(spec.query_len, 0);
+  BuildSweepQuery(/*tails=*/true, r, h, q);
+  float score = 0.0f;
+  SweepRows(spec, q.data(), static_cast<size_t>(t), 1, &score);
+  return static_cast<double>(score);
 }
 
-void KgeModel::ScoreHeads(RelationId r, EntityId t,
-                          std::span<float> out) const {
-  Sweep(/*tails=*/false, r, t, out);
-}
-
-void KgeModel::Sweep(bool tails, RelationId r, EntityId anchor,
-                     std::span<float> out) const {
+void KgeModel::ScoreCandidates(bool tails, RelationId r, EntityId anchor,
+                               std::span<float> out) const {
   KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
   SweepSpec spec;
   const bool described = DescribeSweep(tails, r, &spec);

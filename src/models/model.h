@@ -2,11 +2,18 @@
 //
 // A model scores triples (higher = more plausible) and knows how to apply an
 // SGD step given the upstream loss gradient dLoss/dScore computed by the
-// Trainer. Batch scorers over all candidate heads / tails are the
+// Trainer. Candidate scoring over all heads / tails is the
 // performance-critical path of link-prediction evaluation. A model does not
-// write them: it describes its sweep (DescribeSweep + BuildSweepQuery) and
+// write it: it describes its sweep (DescribeSweep + BuildSweepQuery) and
 // KgeModel executes that description through the same kernels and epilogue
 // the top-K engine uses, so every model is ranked by one code path.
+//
+// Score(h, r, t) defaults to one row of the tails sweep, so it equals
+// ScoreCandidates(true, r, h)[t] bit for bit. A model overrides it only
+// where that row is too slow for the training hot path (TransH, TransD and
+// TransR describe their sweep with a per-entity table) or is not the score
+// the model trains (DistMult scores in double to keep head/tail symmetry;
+// ConvE sums both reciprocal forms).
 
 #ifndef KGC_MODELS_MODEL_H_
 #define KGC_MODELS_MODEL_H_
@@ -90,26 +97,24 @@ class KgeModel : public LinkPredictor {
   int32_t num_relations() const { return num_relations_; }
   const ModelHyperParams& params() const { return params_; }
 
-  /// Plausibility score of (h, r, t); higher is more plausible.
-  virtual double Score(EntityId h, RelationId r, EntityId t) const = 0;
+  /// Plausibility score of (h, r, t); higher is more plausible. Defaults to
+  /// row t of the tails sweep of (h, r); see the file comment for overrides.
+  virtual double Score(EntityId h, RelationId r, EntityId t) const;
 
   /// Applies one SGD step for the triple: every parameter p touched by the
   /// score moves by -lr * d_loss_d_score * dScore/dp.
   virtual void ApplyGradient(const Triple& triple, float d_loss_d_score,
                              float lr) = 0;
 
-  /// Scores (h, r, e) for every entity e into out[e].
-  /// out.size() must be num_entities().
-  void ScoreTails(EntityId h, RelationId r,
-                  std::span<float> out) const final;
+  /// The one sweep executor: DescribeSweep, BuildSweepQuery into scratch
+  /// slot 0, then SweepRows over every entity.
+  void ScoreCandidates(bool tails, RelationId r, EntityId anchor,
+                       std::span<float> out) const final;
 
-  /// Scores (e, r, t) for every entity e into out[e].
-  void ScoreHeads(RelationId r, EntityId t,
-                  std::span<float> out) const final;
-
-  /// Every embedding model has a kernel-shaped sweep; Score* executes it.
-  /// BuildSweepQuery must not use vec::GetScratch slot 0 (the executor's
-  /// query buffer), and DescribeSweep's pointers must survive it.
+  /// Every embedding model has a kernel-shaped sweep; ScoreCandidates and
+  /// the default Score execute it. BuildSweepQuery must not use
+  /// vec::GetScratch slot 0 (the executor's query buffer), and
+  /// DescribeSweep's pointers must survive it.
   bool DescribeSweep(bool tails, RelationId r,
                      SweepSpec* spec) const override = 0;
   void BuildSweepQuery(bool tails, RelationId r, EntityId anchor,
@@ -128,12 +133,6 @@ class KgeModel : public LinkPredictor {
   int32_t num_entities_;
   int32_t num_relations_;
   ModelHyperParams params_;
-
- private:
-  // The one Score* executor: DescribeSweep, BuildSweepQuery into scratch
-  // slot 0, then SweepRows over every entity.
-  void Sweep(bool tails, RelationId r, EntityId anchor,
-             std::span<float> out) const;
 };
 
 /// Creates a freshly initialized model of the given type.

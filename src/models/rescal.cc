@@ -20,21 +20,6 @@ Rescal::Rescal(int32_t num_entities, int32_t num_relations,
   matrices_.InitNormal(rng, 1.0 / static_cast<double>(params.dim));
 }
 
-double Rescal::Score(EntityId h, RelationId r, EntityId t) const {
-  const auto hv = entities_.Row(h);
-  const auto w = matrices_.Row(r);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  // q = h^T W exactly as in ScoreTails, then score = q . t.
-  auto q = vec::GetScratch(dim, 0);
-  for (size_t j = 0; j < dim; ++j) q[j] = 0.0f;
-  for (size_t i = 0; i < dim; ++i) {
-    vec::Axpy(hv[i], w.data() + i * dim, q.data(), dim);
-  }
-  float score = 0.0f;
-  vec::Ops().dot_rows(q.data(), entities_.Row(t).data(), 1, dim, dim, &score);
-  return static_cast<double>(score);
-}
-
 void Rescal::ApplyGradient(const Triple& triple, float d_loss_d_score,
                            float lr) {
   const size_t dim = static_cast<size_t>(params_.dim);

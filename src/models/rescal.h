@@ -15,7 +15,6 @@ class Rescal final : public KgeModel {
   Rescal(int32_t num_entities, int32_t num_relations,
          const ModelHyperParams& params);
 
-  double Score(EntityId h, RelationId r, EntityId t) const override;
   void ApplyGradient(const Triple& triple, float d_loss_d_score,
                      float lr) override;
   bool DescribeSweep(bool tails, RelationId r,

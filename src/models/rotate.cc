@@ -20,23 +20,6 @@ RotatE::RotatE(int32_t num_entities, int32_t num_relations,
   }
 }
 
-double RotatE::Score(EntityId h, RelationId r, EntityId t) const {
-  const auto hv = entities_.Row(h);
-  const auto theta = phases_.Row(r);
-  const size_t d = static_cast<size_t>(params_.dim);
-  // Built exactly like the ScoreTails query so the two agree bit-exactly.
-  auto q = vec::GetScratch(2 * d, 0);
-  for (size_t j = 0; j < d; ++j) {
-    const float c = std::cos(theta[j]);
-    const float s = std::sin(theta[j]);
-    q[j] = hv[j] * c - hv[d + j] * s;
-    q[d + j] = hv[j] * s + hv[d + j] * c;
-  }
-  float dist = 0.0f;
-  vec::Ops().cabs_rows(q.data(), entities_.Row(t).data(), 1, 2 * d, d, &dist);
-  return -static_cast<double>(dist);
-}
-
 void RotatE::ApplyGradient(const Triple& triple, float d_loss_d_score,
                            float lr) {
   const auto hv = entities_.Row(triple.head);

@@ -19,23 +19,6 @@ TransE::TransE(int32_t num_entities, int32_t num_relations,
   entities_.NormalizeRowsL2();
 }
 
-double TransE::Score(EntityId h, RelationId r, EntityId t) const {
-  const auto hv = entities_.Row(h);
-  const auto rv = relations_.Row(r);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  // Built exactly like the ScoreTails query so the two agree bit-exactly.
-  auto q = vec::GetScratch(dim, 0);
-  for (size_t j = 0; j < dim; ++j) q[j] = hv[j] + rv[j];
-  float dist = 0.0f;
-  const auto& ops = vec::Ops();
-  if (params_.l1_distance) {
-    ops.l1_rows(q.data(), entities_.Row(t).data(), 1, dim, dim, &dist);
-  } else {
-    ops.l2_rows(q.data(), entities_.Row(t).data(), 1, dim, dim, &dist);
-  }
-  return -static_cast<double>(dist);
-}
-
 void TransE::ApplyGradient(const Triple& triple, float d_loss_d_score,
                            float lr) {
   const auto hv = entities_.Row(triple.head);

@@ -62,15 +62,6 @@ void TuckER::ContractRelationTail(std::span<const float> r,
   }
 }
 
-double TuckER::Score(EntityId h, RelationId r, EntityId t) const {
-  auto u = vec::GetScratch(static_cast<size_t>(dim_e_), 0);
-  ContractHeadRelation(entities_.Row(h), relations_.Row(r), u);
-  const size_t de = static_cast<size_t>(dim_e_);
-  float score = 0.0f;
-  vec::Ops().dot_rows(u.data(), entities_.Row(t).data(), 1, de, de, &score);
-  return static_cast<double>(score);
-}
-
 void TuckER::ApplyGradient(const Triple& triple, float d_loss_d_score,
                            float lr) {
   const auto hv = entities_.Row(triple.head);

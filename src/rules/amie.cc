@@ -398,13 +398,14 @@ const std::vector<const Rule*>& RulePredictor::RulesForHead(
   return by_head_[static_cast<size_t>(r)];
 }
 
-void RulePredictor::ScoreTails(EntityId h, RelationId r,
-                               std::span<float> out) const {
+void RulePredictor::ScoreCandidates(bool tails, RelationId r,
+                                    EntityId anchor,
+                                    std::span<float> out) const {
   // `out` accumulates each candidate's best confidence.
   std::fill(out.begin(), out.end(), 0.0f);
   const std::span<int> count = RuleCountScratch(out.size());
-  auto credit = [&](EntityId y, double confidence) {
-    const size_t k = static_cast<size_t>(y);
+  auto credit = [&](EntityId e, double confidence) {
+    const size_t k = static_cast<size_t>(e);
     out[k] = std::max(out[k], static_cast<float>(confidence));
     count[k] = std::min(count[k] + 1, 1000);
   };
@@ -412,54 +413,30 @@ void RulePredictor::ScoreTails(EntityId h, RelationId r,
     const double confidence = Confidence(*rule);
     switch (rule->kind) {
       case RuleBodyKind::kSame:
-        for (EntityId y : train_.Tails(h, rule->body1)) credit(y, confidence);
+        for (EntityId e : train_.Adjacent(tails, rule->body1, anchor)) {
+          credit(e, confidence);
+        }
         break;
       case RuleBodyKind::kInverse:
-        for (EntityId y : train_.Heads(rule->body1, h)) credit(y, confidence);
+        for (EntityId e : train_.Adjacent(!tails, rule->body1, anchor)) {
+          credit(e, confidence);
+        }
         break;
-      case RuleBodyKind::kPath:
-        for (EntityId z : train_.Tails(h, rule->body1)) {
-          for (EntityId y : train_.Tails(z, rule->body2)) {
-            credit(y, confidence);
+      case RuleBodyKind::kPath: {
+        // x -body1-> z -body2-> y, walked from whichever end is the anchor.
+        const RelationId near = tails ? rule->body1 : rule->body2;
+        const RelationId far = tails ? rule->body2 : rule->body1;
+        for (EntityId z : train_.Adjacent(tails, near, anchor)) {
+          for (EntityId e : train_.Adjacent(tails, far, z)) {
+            credit(e, confidence);
           }
         }
         break;
+      }
     }
   }
   for (size_t k = 0; k < out.size(); ++k) {
     // Max confidence, ties broken by the number of generating rules.
-    out[k] += static_cast<float>(count[k]) * 1e-6f;
-  }
-}
-
-void RulePredictor::ScoreHeads(RelationId r, EntityId t,
-                               std::span<float> out) const {
-  std::fill(out.begin(), out.end(), 0.0f);
-  const std::span<int> count = RuleCountScratch(out.size());
-  auto credit = [&](EntityId x, double confidence) {
-    const size_t k = static_cast<size_t>(x);
-    out[k] = std::max(out[k], static_cast<float>(confidence));
-    count[k] = std::min(count[k] + 1, 1000);
-  };
-  for (const Rule* rule : RulesForHead(r)) {
-    const double confidence = Confidence(*rule);
-    switch (rule->kind) {
-      case RuleBodyKind::kSame:
-        for (EntityId x : train_.Heads(rule->body1, t)) credit(x, confidence);
-        break;
-      case RuleBodyKind::kInverse:
-        for (EntityId x : train_.Tails(t, rule->body1)) credit(x, confidence);
-        break;
-      case RuleBodyKind::kPath:
-        for (EntityId z : train_.Heads(rule->body2, t)) {
-          for (EntityId x : train_.Heads(rule->body1, z)) {
-            credit(x, confidence);
-          }
-        }
-        break;
-    }
-  }
-  for (size_t k = 0; k < out.size(); ++k) {
     out[k] += static_cast<float>(count[k]) * 1e-6f;
   }
 }

@@ -51,8 +51,8 @@ class RulePredictor final : public LinkPredictor {
 
   const char* name() const override { return "AMIE"; }
   int32_t num_entities() const override { return train_.num_entities(); }
-  void ScoreTails(EntityId h, RelationId r, std::span<float> out) const override;
-  void ScoreHeads(RelationId r, EntityId t, std::span<float> out) const override;
+  void ScoreCandidates(bool tails, RelationId r, EntityId anchor,
+                       std::span<float> out) const override;
 
   const std::vector<Rule>& rules() const { return rules_; }
 

@@ -53,9 +53,7 @@ int32_t CartesianPredictor::MajorityType(RelationId r, bool objects) const {
 int32_t CartesianPredictor::ComputeMajorityType(RelationId r,
                                                 bool objects) const {
   std::unordered_map<int32_t, size_t> counts;
-  const EntitySetView entities =
-      objects ? train_.Objects(r) : train_.Subjects(r);
-  for (EntityId e : entities) {
+  for (EntityId e : Members(r, objects)) {
     counts[entity_type_[static_cast<size_t>(e)]]++;
   }
   int32_t best = -1;
@@ -77,27 +75,30 @@ std::vector<RelationId> CartesianPredictor::CartesianRelations() const {
   return result;
 }
 
-void CartesianPredictor::ScoreTails(EntityId h, RelationId r,
-                                    std::span<float> out) const {
+void CartesianPredictor::ScoreCandidates(bool tails, RelationId r,
+                                         EntityId anchor,
+                                         std::span<float> out) const {
   std::fill(out.begin(), out.end(), 0.0f);
   if (cartesian_[static_cast<size_t>(r)]) {
-    // Predict every object of the relation, provided h is a known subject
-    // (or, with the type extension, any subject of the relation's type).
-    const bool head_qualifies =
-        train_.Subjects(r).contains(h) ||
+    // Predict every candidate-side member of the relation (objects for a
+    // tails query), provided the anchor is a known member of its own side
+    // (or, with the type extension, of that side's majority type).
+    const bool anchor_objects = !tails;
+    const bool anchor_qualifies =
+        Members(r, anchor_objects).contains(anchor) ||
         (type_extension_enabled() &&
-         entity_type_[static_cast<size_t>(h)] ==
-             MajorityType(r, /*objects=*/false));
-    if (head_qualifies) {
-      for (EntityId t : train_.Objects(r)) {
-        out[static_cast<size_t>(t)] = 1.0f;
+         entity_type_[static_cast<size_t>(anchor)] ==
+             MajorityType(r, anchor_objects));
+    if (anchor_qualifies) {
+      for (EntityId e : Members(r, tails)) {
+        out[static_cast<size_t>(e)] = 1.0f;
       }
       if (type_extension_enabled()) {
-        const int32_t object_type = MajorityType(r, /*objects=*/true);
-        for (EntityId t = 0; t < train_.num_entities(); ++t) {
-          if (entity_type_[static_cast<size_t>(t)] == object_type) {
-            out[static_cast<size_t>(t)] =
-                std::max(out[static_cast<size_t>(t)], 0.5f);
+        const int32_t candidate_type = MajorityType(r, tails);
+        for (EntityId e = 0; e < train_.num_entities(); ++e) {
+          if (entity_type_[static_cast<size_t>(e)] == candidate_type) {
+            out[static_cast<size_t>(e)] =
+                std::max(out[static_cast<size_t>(e)], 0.5f);
           }
         }
       }
@@ -105,37 +106,8 @@ void CartesianPredictor::ScoreTails(EntityId h, RelationId r,
   }
   // Known facts score highest regardless (the relation may not be Cartesian;
   // then the training adjacency is all we assert).
-  for (EntityId t : train_.Tails(h, r)) {
-    out[static_cast<size_t>(t)] = 2.0f;
-  }
-}
-
-void CartesianPredictor::ScoreHeads(RelationId r, EntityId t,
-                                    std::span<float> out) const {
-  std::fill(out.begin(), out.end(), 0.0f);
-  if (cartesian_[static_cast<size_t>(r)]) {
-    const bool tail_qualifies =
-        train_.Objects(r).contains(t) ||
-        (type_extension_enabled() &&
-         entity_type_[static_cast<size_t>(t)] ==
-             MajorityType(r, /*objects=*/true));
-    if (tail_qualifies) {
-      for (EntityId h : train_.Subjects(r)) {
-        out[static_cast<size_t>(h)] = 1.0f;
-      }
-      if (type_extension_enabled()) {
-        const int32_t subject_type = MajorityType(r, /*objects=*/false);
-        for (EntityId h = 0; h < train_.num_entities(); ++h) {
-          if (entity_type_[static_cast<size_t>(h)] == subject_type) {
-            out[static_cast<size_t>(h)] =
-                std::max(out[static_cast<size_t>(h)], 0.5f);
-          }
-        }
-      }
-    }
-  }
-  for (EntityId h : train_.Heads(r, t)) {
-    out[static_cast<size_t>(h)] = 2.0f;
+  for (EntityId e : train_.Adjacent(tails, r, anchor)) {
+    out[static_cast<size_t>(e)] = 2.0f;
   }
 }
 

@@ -41,8 +41,8 @@ class CartesianPredictor final : public LinkPredictor {
 
   const char* name() const override { return "CartesianRule"; }
   int32_t num_entities() const override { return train_.num_entities(); }
-  void ScoreTails(EntityId h, RelationId r, std::span<float> out) const override;
-  void ScoreHeads(RelationId r, EntityId t, std::span<float> out) const override;
+  void ScoreCandidates(bool tails, RelationId r, EntityId anchor,
+                       std::span<float> out) const override;
 
   bool IsCartesian(RelationId r) const {
     return cartesian_[static_cast<size_t>(r)];
@@ -56,6 +56,10 @@ class CartesianPredictor final : public LinkPredictor {
   // no lazy fill-in).
   int32_t MajorityType(RelationId r, bool objects) const;
   int32_t ComputeMajorityType(RelationId r, bool objects) const;
+  // Observed objects (if `objects`) or subjects of a relation.
+  EntitySetView Members(RelationId r, bool objects) const {
+    return objects ? train_.Objects(r) : train_.Subjects(r);
+  }
 
   const TripleStore& train_;
   std::vector<bool> cartesian_;

@@ -29,46 +29,25 @@ SimpleRuleModel::SimpleRuleModel(const TripleStore& train,
   }
 }
 
-void SimpleRuleModel::ScoreTails(EntityId h, RelationId r,
-                                 std::span<float> out) const {
+void SimpleRuleModel::ScoreCandidates(bool tails, RelationId r,
+                                      EntityId anchor,
+                                      std::span<float> out) const {
   std::fill(out.begin(), out.end(), 0.0f);
-  // Reverse rule: (y, r2, h) => (h, r, y).
+  // Reverse rule: (y, r2, x) => (x, r, y), read off r2's opposite adjacency.
   for (RelationId r2 : reverse_partners_[static_cast<size_t>(r)]) {
-    for (EntityId y : train_.Heads(r2, h)) {
-      out[static_cast<size_t>(y)] = 1.0f;
+    for (EntityId e : train_.Adjacent(!tails, r2, anchor)) {
+      out[static_cast<size_t>(e)] = 1.0f;
     }
   }
   if (symmetric_[static_cast<size_t>(r)]) {
-    for (EntityId y : train_.Heads(r, h)) {
-      out[static_cast<size_t>(y)] = 1.0f;
+    for (EntityId e : train_.Adjacent(!tails, r, anchor)) {
+      out[static_cast<size_t>(e)] = 1.0f;
     }
   }
-  // Duplicate rule: (h, r2, y) => (h, r, y).
+  // Duplicate rule: (x, r2, y) => (x, r, y).
   for (RelationId r2 : duplicate_partners_[static_cast<size_t>(r)]) {
-    for (EntityId y : train_.Tails(h, r2)) {
-      out[static_cast<size_t>(y)] = 1.0f;
-    }
-  }
-}
-
-void SimpleRuleModel::ScoreHeads(RelationId r, EntityId t,
-                                 std::span<float> out) const {
-  std::fill(out.begin(), out.end(), 0.0f);
-  // Reverse rule: (t, r2, x) => (x, r, t).
-  for (RelationId r2 : reverse_partners_[static_cast<size_t>(r)]) {
-    for (EntityId x : train_.Tails(t, r2)) {
-      out[static_cast<size_t>(x)] = 1.0f;
-    }
-  }
-  if (symmetric_[static_cast<size_t>(r)]) {
-    for (EntityId x : train_.Tails(t, r)) {
-      out[static_cast<size_t>(x)] = 1.0f;
-    }
-  }
-  // Duplicate rule: (x, r2, t) => (x, r, t).
-  for (RelationId r2 : duplicate_partners_[static_cast<size_t>(r)]) {
-    for (EntityId x : train_.Heads(r2, t)) {
-      out[static_cast<size_t>(x)] = 1.0f;
+    for (EntityId e : train_.Adjacent(tails, r2, anchor)) {
+      out[static_cast<size_t>(e)] = 1.0f;
     }
   }
 }

@@ -27,8 +27,8 @@ class SimpleRuleModel final : public LinkPredictor {
 
   const char* name() const override { return "SimpleModel"; }
   int32_t num_entities() const override { return train_.num_entities(); }
-  void ScoreTails(EntityId h, RelationId r, std::span<float> out) const override;
-  void ScoreHeads(RelationId r, EntityId t, std::span<float> out) const override;
+  void ScoreCandidates(bool tails, RelationId r, EntityId anchor,
+                       std::span<float> out) const override;
 
   const RedundancyCatalog& catalog() const { return catalog_; }
 

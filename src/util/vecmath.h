@@ -1,5 +1,5 @@
 // Vectorized scoring-kernel library: the math primitives under every
-// model's Score / ScoreTails / ScoreHeads and the trainer's row updates.
+// model's Score / ScoreCandidates and the trainer's row updates.
 //
 // Numerics contract
 // -----------------

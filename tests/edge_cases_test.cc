@@ -109,7 +109,7 @@ TEST(EdgeCaseTest, AmiePredictorWithNoRulesScoresZero) {
   const TripleStore store({{0, 0, 1}}, 4, 1);
   const RulePredictor predictor({}, store);
   std::vector<float> scores(4);
-  predictor.ScoreTails(0, 0, scores);
+  predictor.ScoreCandidates(/*tails=*/true, 0, 0, scores);
   for (float s : scores) EXPECT_EQ(s, 0.0f);
 }
 

@@ -24,10 +24,8 @@ class StubPredictor final : public LinkPredictor {
   int32_t num_entities() const override {
     return static_cast<int32_t>(scores_.size());
   }
-  void ScoreTails(EntityId, RelationId, std::span<float> out) const override {
-    std::copy(scores_.begin(), scores_.end(), out.begin());
-  }
-  void ScoreHeads(RelationId, EntityId, std::span<float> out) const override {
+  void ScoreCandidates(bool, RelationId, EntityId,
+                       std::span<float> out) const override {
     std::copy(scores_.begin(), scores_.end(), out.begin());
   }
 

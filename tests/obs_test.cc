@@ -185,10 +185,8 @@ class FlatPredictor final : public LinkPredictor {
   explicit FlatPredictor(int32_t num_entities) : num_entities_(num_entities) {}
   const char* name() const override { return "Flat"; }
   int32_t num_entities() const override { return num_entities_; }
-  void ScoreTails(EntityId, RelationId, std::span<float> out) const override {
-    std::fill(out.begin(), out.end(), 0.5f);
-  }
-  void ScoreHeads(RelationId, EntityId, std::span<float> out) const override {
+  void ScoreCandidates(bool, RelationId, EntityId,
+                       std::span<float> out) const override {
     std::fill(out.begin(), out.end(), 0.5f);
   }
 

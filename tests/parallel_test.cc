@@ -124,13 +124,9 @@ class HashPredictor final : public LinkPredictor {
       : num_entities_(num_entities) {}
   const char* name() const override { return "Hash"; }
   int32_t num_entities() const override { return num_entities_; }
-  void ScoreTails(EntityId h, RelationId r,
-                  std::span<float> out) const override {
-    Fill(static_cast<uint64_t>(h) * 2, r, out);
-  }
-  void ScoreHeads(RelationId r, EntityId t,
-                  std::span<float> out) const override {
-    Fill(static_cast<uint64_t>(t) * 2 + 1, r, out);
+  void ScoreCandidates(bool tails, RelationId r, EntityId anchor,
+                       std::span<float> out) const override {
+    Fill(static_cast<uint64_t>(anchor) * 2 + (tails ? 0 : 1), r, out);
   }
 
  private:
@@ -253,8 +249,8 @@ TEST(ParallelDeterminismTest, RankTriplesIsThreadCountInvariant) {
 }
 
 /// Scores every candidate 0, through a kernel sweep (a dot product against
-/// an all-zero table) when `sweep` is set, else through Score* only — the
-/// fully tied case on both ranking paths.
+/// an all-zero table) when `sweep` is set, else through ScoreCandidates
+/// only — the fully tied case on both ranking paths.
 class TiedPredictor final : public LinkPredictor {
  public:
   TiedPredictor(int32_t num_entities, bool sweep)
@@ -263,10 +259,8 @@ class TiedPredictor final : public LinkPredictor {
         rows_(static_cast<size_t>(num_entities) * kDim, 0.0f) {}
   const char* name() const override { return "Tied"; }
   int32_t num_entities() const override { return num_entities_; }
-  void ScoreTails(EntityId, RelationId, std::span<float> out) const override {
-    std::fill(out.begin(), out.end(), 0.0f);
-  }
-  void ScoreHeads(RelationId, EntityId, std::span<float> out) const override {
+  void ScoreCandidates(bool, RelationId, EntityId,
+                       std::span<float> out) const override {
     std::fill(out.begin(), out.end(), 0.0f);
   }
   bool DescribeSweep(bool, RelationId, SweepSpec* spec) const override {

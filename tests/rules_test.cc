@@ -121,12 +121,12 @@ TEST(RulePredictorTest, RanksRuleDerivedCandidatesFirst) {
   // Query (3, born_in, ?): lives_in(3, 11) fires the same-direction rule,
   // so entity 11 should out-score entities with no rule support.
   std::vector<float> scores(12);
-  predictor.ScoreTails(3, 0, scores);
+  predictor.ScoreCandidates(/*tails=*/true, 0, 3, scores);
   EXPECT_GT(scores[11], 0.0f);
   EXPECT_GT(scores[11], scores[5]);
 
   // Query (?, born_in, 8): citizen_of_inv(8, {0,1}) fires the inverse rule.
-  predictor.ScoreHeads(0, 8, scores);
+  predictor.ScoreCandidates(/*tails=*/false, 0, 8, scores);
   EXPECT_GT(scores[0], 0.0f);
   EXPECT_GT(scores[1], 0.0f);
   EXPECT_EQ(scores[7], 0.0f);
@@ -138,9 +138,68 @@ TEST(RulePredictorTest, PathRulePrediction) {
   const RulePredictor predictor(rules, store, LooseOptions());
   // (5, grandparent_city, ?) via parent(5,0) ^ born_in(0,8).
   std::vector<float> scores(12);
-  predictor.ScoreTails(5, 4, scores);
+  predictor.ScoreCandidates(/*tails=*/true, 4, 5, scores);
   EXPECT_GT(scores[8], 0.0f);
   EXPECT_EQ(scores[10], 0.0f);
+}
+
+// --- Direction symmetry ----------------------------------------------------
+
+// A rule predictor scores (h, r, t) the same from the tails query (h, r, ?)
+// and the heads query (?, r, t): both walk the same rule instances, from
+// opposite ends. Checks every triple of the id space.
+void ExpectDirectionSymmetric(const LinkPredictor& predictor,
+                              int32_t num_relations) {
+  const size_t n = static_cast<size_t>(predictor.num_entities());
+  std::vector<float> tails(n * n);  // row h: scores of (h, r, ?)
+  std::vector<float> heads(n * n);  // row t: scores of (?, r, t)
+  size_t nonzero = 0;
+  for (RelationId r = 0; r < num_relations; ++r) {
+    for (size_t a = 0; a < n; ++a) {
+      const EntityId anchor = static_cast<EntityId>(a);
+      predictor.ScoreCandidates(true, r, anchor,
+                                std::span<float>(&tails[a * n], n));
+      predictor.ScoreCandidates(false, r, anchor,
+                                std::span<float>(&heads[a * n], n));
+    }
+    for (size_t h = 0; h < n; ++h) {
+      for (size_t t = 0; t < n; ++t) {
+        EXPECT_EQ(tails[h * n + t], heads[t * n + h])
+            << predictor.name() << " (" << h << ", " << r << ", " << t << ")";
+        nonzero += tails[h * n + t] != 0.0f ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(nonzero, 0u);
+}
+
+TEST(DirectionSymmetryTest, RulePredictor) {
+  const TripleStore store = RuleStore();
+  const auto rules = MineRules(store, LooseOptions());
+  // parent(x, z) ^ born_in(z, y) => grandparent_city(x, y): the heads side
+  // walks the body in reverse order.
+  ASSERT_NE(FindRule(rules, RuleBodyKind::kPath, 3, 4, 0), nullptr);
+  const RulePredictor predictor(rules, store, LooseOptions());
+  ExpectDirectionSymmetric(predictor, store.num_relations());
+}
+
+TEST(DirectionSymmetryTest, SimpleRuleModel) {
+  RedundancyCatalog catalog;
+  catalog.reverse_pairs.push_back({0, 2, 0.8, 0.8});
+  catalog.duplicate_pairs.push_back({0, 1, 0.8, 0.8});
+  catalog.symmetric_relations.push_back(3);
+  const TripleStore store = RuleStore();
+  const SimpleRuleModel model(store, catalog);
+  ExpectDirectionSymmetric(model, store.num_relations());
+}
+
+TEST(DirectionSymmetryTest, CartesianPredictorWithoutTypes) {
+  // Without the type extension the product closure is S_r x O_r from either
+  // end. (The extension is asymmetric by design; see
+  // TypeExtensionPredictsBeyondObservedEntities.)
+  const TripleStore store = RuleStore();
+  const CartesianPredictor predictor(store, std::vector<RelationId>{0, 3});
+  ExpectDirectionSymmetric(predictor, store.num_relations());
 }
 
 // --- MineRules against the brute-force oracle ------------------------------
@@ -273,11 +332,11 @@ TEST(SimpleRuleModelTest, PredictsViaReversePartner) {
 
   std::vector<float> scores(6);
   // (0, r0, ?): reverse partner r1 has (1, r1, 0) -> predict 1.
-  model.ScoreTails(0, 0, scores);
+  model.ScoreCandidates(/*tails=*/true, 0, 0, scores);
   EXPECT_EQ(scores[1], 1.0f);
   EXPECT_EQ(scores[2], 0.0f);
   // (?, r1, 2): reverse partner r0 has (2, r0, 3) -> predict 3.
-  model.ScoreHeads(1, 2, scores);
+  model.ScoreCandidates(/*tails=*/false, 1, 2, scores);
   EXPECT_EQ(scores[3], 1.0f);
 }
 
@@ -291,13 +350,13 @@ TEST(SimpleRuleModelTest, PredictsViaDuplicateAndSymmetric) {
 
   std::vector<float> scores(5);
   // Duplicate: (0, r1, ?) predicted from (0, r0, 1).
-  model.ScoreTails(0, 1, scores);
+  model.ScoreCandidates(/*tails=*/true, 1, 0, scores);
   EXPECT_EQ(scores[1], 1.0f);
   // Symmetric: (3, r2, ?) predicted from (2, r2, 3).
-  model.ScoreTails(3, 2, scores);
+  model.ScoreCandidates(/*tails=*/true, 2, 3, scores);
   EXPECT_EQ(scores[2], 1.0f);
   // Symmetric head side: (?, r2, 2) -> 3.
-  model.ScoreHeads(2, 2, scores);
+  model.ScoreCandidates(/*tails=*/false, 2, 2, scores);
   EXPECT_EQ(scores[3], 1.0f);
 }
 
@@ -312,12 +371,12 @@ TEST(CartesianPredictorTest, PredictsFullProduct) {
   ASSERT_TRUE(predictor.IsCartesian(0));
 
   std::vector<float> scores(8);
-  predictor.ScoreTails(1, 0, scores);
+  predictor.ScoreCandidates(/*tails=*/true, 0, 1, scores);
   EXPECT_GT(scores[6], 0.0f);   // the missing product member is predicted
   EXPECT_GT(scores[4], scores[6]);  // known facts score highest
   EXPECT_EQ(scores[7], 0.0f);
 
-  predictor.ScoreHeads(0, 6, scores);
+  predictor.ScoreCandidates(/*tails=*/false, 0, 6, scores);
   EXPECT_GT(scores[1], 0.0f);
 }
 
@@ -328,7 +387,7 @@ TEST(CartesianPredictorTest, NonCartesianFallsBackToAdjacency) {
   const CartesianPredictor predictor(store);
   EXPECT_FALSE(predictor.IsCartesian(0));
   std::vector<float> scores(8);
-  predictor.ScoreTails(0, 0, scores);
+  predictor.ScoreCandidates(/*tails=*/true, 0, 0, scores);
   EXPECT_GT(scores[4], 0.0f);
   EXPECT_EQ(scores[5], 0.0f);
 }
@@ -346,14 +405,14 @@ TEST(CartesianPredictorTest, TypeExtensionPredictsBeyondObservedEntities) {
 
   std::vector<float> scores(8);
   // Unseen head of the right type still triggers the product closure.
-  predictor.ScoreTails(2, 0, scores);
+  predictor.ScoreCandidates(/*tails=*/true, 0, 2, scores);
   EXPECT_GT(scores[4], 0.0f);
   EXPECT_GT(scores[6], 0.0f);   // unseen object of the right type
   EXPECT_EQ(scores[7], 0.0f);   // wrong type stays out
   EXPECT_GT(scores[4], scores[6]);  // observed objects outrank typed ones
 
   // Head side: unseen tail of the right type.
-  predictor.ScoreHeads(0, 6, scores);
+  predictor.ScoreCandidates(/*tails=*/false, 0, 6, scores);
   EXPECT_GT(scores[0], 0.0f);
   EXPECT_GT(scores[2], 0.0f);
   EXPECT_EQ(scores[3], 0.0f);
@@ -365,7 +424,7 @@ TEST(CartesianPredictorTest, ForcedRelationList) {
   const CartesianPredictor predictor(store, std::vector<RelationId>{0});
   EXPECT_TRUE(predictor.IsCartesian(0));
   std::vector<float> scores(8);
-  predictor.ScoreTails(0, 0, scores);
+  predictor.ScoreCandidates(/*tails=*/true, 0, 0, scores);
   EXPECT_GT(scores[5], 0.0f);  // product closure over observed S x O
 }
 

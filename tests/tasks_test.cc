@@ -68,7 +68,7 @@ TEST(TripleClassificationTest, DeterministicForSeed) {
 TEST(RelationPredictionTest, TrainedModelRanksTrueRelationHighly) {
   const SyntheticKg kg = GenerateTiny(31);
   const auto model = TrainedTinyModel(kg, ModelType::kComplEx);
-  const RelationPredictionMetrics metrics =
+  const LinkPredictionMetrics metrics =
       EvaluateRelationPrediction(*model, kg.dataset);
   EXPECT_EQ(metrics.num_triples, kg.dataset.test().size());
   // 8 relations in tiny-syn: random MR would be ~4.5.
@@ -84,7 +84,7 @@ TEST(RelationPredictionTest, EmptyTestIsZero) {
   const Dataset dataset("d", vocab, {{0, 0, 0}}, {}, {});
   const auto model = CreateModel(ModelType::kDistMult, 1, 1,
                                  DefaultHyperParams(ModelType::kDistMult));
-  const RelationPredictionMetrics metrics =
+  const LinkPredictionMetrics metrics =
       EvaluateRelationPrediction(*model, dataset);
   EXPECT_EQ(metrics.num_triples, 0u);
 }

@@ -204,16 +204,12 @@ class StripedPredictor : public LinkPredictor {
  public:
   const char* name() const override { return "striped"; }
   int32_t num_entities() const override { return kEntities; }
-  void ScoreTails(EntityId h, RelationId r,
-                  std::span<float> out) const override {
+  void ScoreCandidates(bool tails, RelationId r, EntityId anchor,
+                       std::span<float> out) const override {
     for (size_t e = 0; e < out.size(); ++e) {
-      out[e] = static_cast<float>((e * 31 + h * 7 + r) % 97) / 97.0f;
-    }
-  }
-  void ScoreHeads(RelationId r, EntityId t,
-                  std::span<float> out) const override {
-    for (size_t e = 0; e < out.size(); ++e) {
-      out[e] = static_cast<float>((e * 13 + t * 5 + r) % 89) / 89.0f;
+      out[e] = tails
+                   ? static_cast<float>((e * 31 + anchor * 7 + r) % 97) / 97.0f
+                   : static_cast<float>((e * 13 + anchor * 5 + r) % 89) / 89.0f;
     }
   }
 };

@@ -121,7 +121,6 @@ struct LoadStats {
   std::atomic<uint64_t> malformed{0};
   std::atomic<uint64_t> unavailable{0};
   std::atomic<uint64_t> internal{0};
-  std::atomic<uint64_t> degraded{0};
   std::atomic<uint64_t> other_generation{0};
   std::atomic<uint64_t> mismatches{0};
   std::atomic<uint64_t> transport_errors{0};
@@ -279,9 +278,6 @@ void ConnectionLoop(const LoadFlags& flags,
     }
     switch (reply.status) {
       case ReplyStatus::kOk: {
-        if (reply.flags & kgc::serve::kReplyFlagDegraded) {
-          stats.degraded.fetch_add(1, std::memory_order_relaxed);
-        }
         if (reply.generation != expected_generation) {
           stats.other_generation.fetch_add(1, std::memory_order_relaxed);
           break;
@@ -430,7 +426,7 @@ int LoadMain(int argc, char** argv) {
 
   std::printf(
       "load: sent=%llu ok=%llu shed=%llu deadline=%llu malformed=%llu "
-      "unavailable=%llu internal=%llu degraded=%llu\n"
+      "unavailable=%llu internal=%llu\n"
       "load: transport_errors=%llu reconnects=%llu bad_replies=%llu "
       "other_generation=%llu fingerprint_mismatches=%llu\n"
       "load: qps=%.1f p50=%.0fus p90=%.0fus p99=%.0fus p999=%.0fus "
@@ -442,7 +438,6 @@ int LoadMain(int argc, char** argv) {
       static_cast<unsigned long long>(stats.malformed.load()),
       static_cast<unsigned long long>(stats.unavailable.load()),
       static_cast<unsigned long long>(stats.internal.load()),
-      static_cast<unsigned long long>(stats.degraded.load()),
       static_cast<unsigned long long>(stats.transport_errors.load()),
       static_cast<unsigned long long>(stats.reconnects.load()),
       static_cast<unsigned long long>(stats.bad_replies.load()),
@@ -471,7 +466,6 @@ int LoadMain(int argc, char** argv) {
         "  \"malformed\": %llu,\n"
         "  \"unavailable\": %llu,\n"
         "  \"internal\": %llu,\n"
-        "  \"degraded\": %llu,\n"
         "  \"transport_errors\": %llu,\n"
         "  \"reconnects\": %llu,\n"
         "  \"bad_replies\": %llu,\n"
@@ -493,7 +487,6 @@ int LoadMain(int argc, char** argv) {
         static_cast<unsigned long long>(stats.malformed.load()),
         static_cast<unsigned long long>(stats.unavailable.load()),
         static_cast<unsigned long long>(stats.internal.load()),
-        static_cast<unsigned long long>(stats.degraded.load()),
         static_cast<unsigned long long>(stats.transport_errors.load()),
         static_cast<unsigned long long>(stats.reconnects.load()),
         static_cast<unsigned long long>(stats.bad_replies.load()),
